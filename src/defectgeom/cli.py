@@ -68,7 +68,6 @@ def _prepare_out(out_dir, scenario: Scenario, args):
         "version": __version__,
         "command": args.command,
         "resolutionScale": args.resolution_scale,
-        "seed": args.seed,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     _json_dump(out / "meta.json", meta)
@@ -256,9 +255,10 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
                                                 d.burgers_direction[1], 0.0])
             # project onto the defect's own Burgers axis: transverse
             # components of the disk flux pick up long-range torsion tails
-            # of other enclosed-tail defects by construction
+            # of other enclosed-tail defects by construction; the projection
+            # onto the signed axis is the charge magnitude
             bhat = expected / np.linalg.norm(expected)
-            err = abs(float(np.dot(b, bhat)) - d.charge) / abs(d.charge)
+            err = abs(float(np.dot(b, bhat)) - abs(d.charge)) / abs(d.charge)
             checks.append({"name": f"defect {i} ({d.kind}) Burgers charge "
                                    "(projected)",
                            "passed": bool(err < 1e-3), "relativeError": err,
@@ -410,8 +410,6 @@ def build_parser():
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--resolution-scale", type=int, default=1,
                         metavar="K", help="multiply all grid resolutions")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="reserved; all computation is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (("fields", "serialize defect fields and CSV exports"),
                       ("charges", "extract Burgers/Frank charges"),

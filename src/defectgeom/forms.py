@@ -278,6 +278,17 @@ class FormField:
         Returns an array of shape coeffs.shape[:-dim] + points.shape[:-1].
         Order 5 needs at least 6 cells per axis; it falls back to 3 below that.
         """
+        lead = self.coeffs.shape[: self.coeffs.ndim - self.grid.dim]
+        out = self._sample_rows(points, range(int(np.prod(lead))), order)
+        return out.reshape(lead + np.shape(points)[:-1])
+
+    def _sample_rows(self, points, rows, order: int) -> np.ndarray:
+        """Spline values of the flattened (frame slot, component) coefficient
+        rows `rows` at physical points, shape (len(rows),) + points.shape[:-1].
+
+        Each row is prefiltered on first use and cached per (order, row), so
+        rows that are never sampled are never filtered.
+        """
         points = np.asarray(points, float)
         if points.shape[-1] != self.grid.dim:
             raise ValueError("point dimension mismatch")
@@ -287,24 +298,16 @@ class FormField:
         for i, h in enumerate(self.grid.spacing):
             idx[i] = (points[..., i] - self.grid.extents[i][0]) / h - 0.5
         flat = self.coeffs.reshape((-1,) + self.grid.resolution)
-        key = order
-        if key not in self._spline_cache:
-            if order > 1:
-                filt = np.stack([
-                    ndimage.spline_filter(flat[m], order=order, mode="mirror")
-                    for m in range(flat.shape[0])
-                ])
-            else:
-                filt = flat
-            self._spline_cache[key] = filt
-        filt = self._spline_cache[key]
-        out = np.stack([
-            ndimage.map_coordinates(filt[m], idx, order=order, mode="mirror",
-                                    prefilter=False)
-            for m in range(flat.shape[0])
-        ])
-        return out.reshape(self.coeffs.shape[: self.coeffs.ndim - self.grid.dim]
-                           + points.shape[:-1])
+        out = np.empty((len(rows),) + points.shape[:-1])
+        for i, m in enumerate(rows):
+            key = (order, m)
+            if key not in self._spline_cache:
+                self._spline_cache[key] = ndimage.spline_filter(
+                    flat[m], order=order, mode="mirror") if order > 1 else flat[m]
+            out[i] = ndimage.map_coordinates(self._spline_cache[key], idx,
+                                             order=order, mode="mirror",
+                                             prefilter=False)
+        return out
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
@@ -576,6 +579,35 @@ def covariant_exterior_derivative(a: FormField, omega: FormField) -> FormField:
 # integration
 # ---------------------------------------------------------------------------
 
+def _quadrature(a: FormField, points, weights, count: int, order: int):
+    """Midpoint sum of a's components against per-component weights.
+
+    weights has shape (ncomp, npts): the surface Jacobian of each basis
+    2-form or the loop velocity along each axis. Components whose weight is
+    zero at every point add exact zeros, so they are not sampled; on a
+    z-normal disk or circle that skips every dz component. The result is
+    shaped by the value type, as `integrate_surface` documents.
+    """
+    ncomp = weights.shape[0]
+    keep = np.flatnonzero(np.any(weights != 0, axis=1))
+    nslots = a.coeffs.size // (ncomp * int(np.prod(a.grid.resolution)))
+    rows = (np.arange(nslots)[:, None] * ncomp + keep).ravel()
+    vals = a._sample_rows(points, rows, order)
+    dens = np.einsum("scp,cp->sp", vals.reshape(nslots, len(keep), -1),
+                     weights[keep])
+    total = dens.sum(axis=-1) / count
+    if a.value_type == SCALAR:
+        return float(total[0])
+    if a.value_type == VECTOR:
+        return total
+    n = a.grid.dim
+    mat = np.zeros((n, n))
+    for p, (fa, fb) in enumerate(antisym_pairs(n)):
+        mat[fa, fb] = total[p]
+        mat[fb, fa] = -total[p]
+    return mat
+
+
 def integrate_surface(a: FormField, surface, resolution: int = 256,
                       order: int = 5):
     """Midpoint-rule integral of a 2-form over a parametrized surface.
@@ -596,24 +628,9 @@ def integrate_surface(a: FormField, surface, resolution: int = 256,
         raise ValueError("surface exits grid extents")
     tu = np.asarray(tu)
     tw = np.asarray(tw)
-    vals = a.sample(points, order=order)
-    comps = a.components
-    jac = np.zeros((len(comps), points.shape[0]))
-    for ic, (i, j) in enumerate(comps):
-        jac[ic] = tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]
-    dens = np.einsum("...cp,cp->...p", vals.reshape((-1, len(comps), points.shape[0])),
-                     jac)
-    total = dens.sum(axis=-1) / (nu * nw)
-    if a.value_type == SCALAR:
-        return float(total[0])
-    if a.value_type == VECTOR:
-        return total.reshape(a.grid.dim)
-    n = a.grid.dim
-    mat = np.zeros((n, n))
-    for p, (fa, fb) in enumerate(antisym_pairs(n)):
-        mat[fa, fb] = total[p]
-        mat[fb, fa] = -total[p]
-    return mat
+    jac = np.array([tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]
+                    for i, j in a.components])
+    return _quadrature(a, points, jac, nu * nw, order)
 
 
 def integrate_loop(a: FormField, loop, resolution: int = 512, order: int = 5):
@@ -626,20 +643,7 @@ def integrate_loop(a: FormField, loop, resolution: int = 512, order: int = 5):
     points, vel = loop.points_and_velocity(t)
     if not np.all(a.grid.contains(points, slack=1e-12)):
         raise ValueError("loop exits grid extents")
-    vals = a.sample(points, order=order)
-    dens = np.einsum("...cp,pc->...p",
-                     vals.reshape((-1, a.grid.dim, points.shape[0])), vel)
-    total = dens.sum(axis=-1) / resolution
-    if a.value_type == SCALAR:
-        return float(total[0])
-    if a.value_type == VECTOR:
-        return total.reshape(a.grid.dim)
-    n = a.grid.dim
-    mat = np.zeros((n, n))
-    for p, (fa, fb) in enumerate(antisym_pairs(n)):
-        mat[fa, fb] = total[p]
-        mat[fb, fa] = -total[p]
-    return mat
+    return _quadrature(a, points, np.asarray(vel).T, resolution, order)
 
 
 def grid_integral(a: FormField) -> float:

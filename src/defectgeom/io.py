@@ -24,11 +24,14 @@ from .forms import (
     AXIS_NAMES,
     FormField,
     GridSpec,
+    _coeff_shape,
     antisym_pairs,
     basis_indices,
 )
 
 MAGIC = b"DGFF0001"
+HEADER_KEYS = ("dim", "degree", "valueType", "extents", "resolution")
+CSV_BLOCK_ROWS = 4096
 
 
 def component_label(multi_index) -> str:
@@ -75,10 +78,19 @@ def read_field(path) -> FormField:
             raise ValueError(f"{path}: not a field file (bad magic)")
         (hlen,) = struct.unpack("<Q", fh.read(8))
         header = json.loads(fh.read(hlen).decode())
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: header is not a JSON object")
+        for key in HEADER_KEYS:
+            if key not in header:
+                raise ValueError(f"{path}: header is missing key {key!r}")
+        if not (header["dim"] == len(header["extents"])
+                == len(header["resolution"])):
+            raise ValueError(f"{path}: header dim {header['dim']} does not "
+                             f"match {len(header['extents'])} extents and "
+                             f"{len(header['resolution'])} resolutions")
         grid = GridSpec(tuple(tuple(e) for e in header["extents"]),
                         tuple(header["resolution"]))
         raw = fh.read()
-    from .forms import _coeff_shape
     shape = _coeff_shape(grid, header["degree"], header["valueType"])
     expected = int(np.prod(shape))
     coeffs = np.frombuffer(raw, dtype="<f8").astype(np.float64)
@@ -90,7 +102,11 @@ def read_field(path) -> FormField:
 
 
 def write_csv(path, field: FormField) -> None:
-    """One row per grid point: coordinates, then one column per component."""
+    """One row per grid point: coordinates, then one column per component.
+
+    Values are written with %.17g, which round-trips float64 exactly. Rows
+    are formatted CSV_BLOCK_ROWS at a time with one %-template per block.
+    """
     grid = field.grid
     axes = [grid.axis_centers(i) for i in range(grid.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -106,8 +122,9 @@ def write_csv(path, field: FormField) -> None:
             columns.append(f"{fl}_{name}" if fl else name)
             arrays.append(flat[m].ravel())
             m += 1
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        block = np.column_stack(arrays)
-        for row in block:
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        for lo in range(0, arrays[0].size, CSV_BLOCK_ROWS):
+            block = np.column_stack([a[lo:lo + CSV_BLOCK_ROWS] for a in arrays])
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))

@@ -7,6 +7,7 @@ offending key, so a scenario file diff is always meaningful.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -47,7 +48,13 @@ def _expect_keys(obj, path, required, optional=()):
 def _number(obj, path):
     if not isinstance(obj, (int, float)) or isinstance(obj, bool):
         raise ScenarioError(f"{path}: expected a number")
-    return float(obj)
+    try:
+        value = float(obj)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ScenarioError(f"{path}: expected a finite number")
+    return value
 
 
 def _integer(obj, path):

@@ -361,3 +361,73 @@ def test_winding_disk_integral_matches_loop():
     d_theta = exterior_derivative(theta)
     val = integrate_surface(d_theta, Disk((0, 0, 0), 1.0), resolution=512)
     assert abs(val - 2 * np.pi) / (2 * np.pi) < 1e-3
+
+
+def _smooth_vector_form(grid, degree, seed):
+    """Frame-vector form whose every component is a distinct smooth field."""
+    X, Y, Z = grid.meshgrid()
+    rng = np.random.default_rng(seed)
+    ncomp = len(basis_indices(grid.dim, degree))
+    k = rng.uniform(0.5, 2.0, size=(grid.dim, ncomp, 3))
+    coeffs = np.sin(k[..., 0, None, None, None] * X + 1.0) \
+        * np.cos(k[..., 1, None, None, None] * Y - 0.3) \
+        + k[..., 2, None, None, None] * Z
+    return FormField(grid, degree, VECTOR, coeffs)
+
+
+def _full_reference(a, points, weights, count, order=5):
+    """Quadrature sampling every component, zero weight or not."""
+    ncomp = weights.shape[0]
+    vals = a.sample(points, order=order).reshape(-1, ncomp, points.shape[0])
+    return np.einsum("...cp,cp->...p", vals, weights).sum(axis=-1) / count
+
+
+def _disk_weights(disk, comps, resolution):
+    u = (np.arange(resolution) + 0.5) / resolution
+    U, W = np.meshgrid(u, u, indexing="ij")
+    points, tu, tw = disk.points_and_tangents(U.ravel(), W.ravel())
+    jac = np.array([tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]
+                    for i, j in comps])
+    return points, jac
+
+
+def test_quadrature_skipping_zero_weights_is_bit_exact(g3):
+    """On a z-normal disk and circle the dz components carry exactly zero
+    weight; leaving them out changes no bit of the integral."""
+    t = _smooth_vector_form(g3, 2, seed=3)
+    disk = Disk((0.5, 0.45, 0.5), 0.35)
+    points, jac = _disk_weights(disk, t.components, 64)
+    assert not np.any(jac[1:])
+    ref = _full_reference(t, points, jac, 64 * 64)
+    assert np.array_equal(integrate_surface(t, disk, resolution=64), ref)
+
+    e = _smooth_vector_form(g3, 1, seed=4)
+    circle = Circle((0.5, 0.5, 0.45), 0.3)
+    points, vel = circle.points_and_velocity((np.arange(512) + 0.5) / 512)
+    assert not np.any(vel[:, 2])
+    ref = _full_reference(e, points, vel.T, 512)
+    assert np.array_equal(integrate_loop(e, circle), ref)
+
+
+def test_quadrature_samples_only_weighted_components(g3, monkeypatch):
+    """A z-normal disk samples the dx^dy component of each frame slot; a
+    tilted disk has weight on every component and samples all of them."""
+    from defectgeom import forms
+    calls = []
+    real = forms.ndimage.map_coordinates
+    monkeypatch.setattr(forms.ndimage, "map_coordinates",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    t = _smooth_vector_form(g3, 2, seed=5)
+    integrate_surface(t, Disk((0.5, 0.5, 0.5), 0.3), resolution=32)
+    assert len(calls) == 3
+
+    calls.clear()
+    tilt = (np.array([1.0, 0.0, 0.4]), np.array([0.0, 1.0, 0.3]))
+    tilt = (tilt[0], tilt[1] - tilt[1] @ tilt[0] / (tilt[0] @ tilt[0]) * tilt[0])
+    tilted = Disk((0.5, 0.5, 0.5), 0.3, axes=tilt)
+    points, jac = _disk_weights(tilted, t.components, 32)
+    assert np.all(np.any(jac != 0, axis=1))
+    val = integrate_surface(t, tilted, resolution=32)
+    assert len(calls) == 9
+    np.testing.assert_allclose(val, _full_reference(t, points, jac, 32 * 32),
+                               rtol=1e-13, atol=1e-15)

@@ -91,3 +91,60 @@ def test_csv_determinism(tmp_path, sample_field):
     dg.write_csv(p1, sample_field)
     dg.write_csv(p2, sample_field)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_csv_matches_per_value_formatter(tmp_path):
+    """Block formatting writes the bytes of the per-value %.17g formatter,
+    across block boundaries and for -0.0, subnormals and huge exponents."""
+    grid = GridSpec([(0, 1.0), (-2.0, 3.0), (0, 0.1)], [20, 21, 13])
+    rng = np.random.default_rng(7)
+    coeffs = rng.normal(size=(3, 3) + grid.resolution) \
+        * 10.0 ** rng.integers(-300, 300, size=(3, 3) + grid.resolution)
+    specials = [-0.0, 0.0, 5e-324, -2.5e-310, np.finfo(float).max,
+                -np.finfo(float).max, np.finfo(float).tiny, 1e-5, 0.1]
+    coeffs.flat[:len(specials)] = specials
+    coeffs.flat[-len(specials):] = specials
+    field = FormField(grid, 1, "vector", coeffs)
+    assert np.prod(grid.resolution) > 4096
+    path = tmp_path / "f.csv"
+    dg.write_csv(path, field)
+
+    mesh = [m.ravel() for m in grid.meshgrid()]
+    block = np.column_stack(mesh + list(coeffs.reshape(9, -1)))
+    header = "x,y,z," + ",".join(f"a{a}_d{ax}" for a in (1, 2, 3)
+                                 for ax in "xyz")
+    expected = header + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in block)
+    assert path.read_text() == expected
+
+
+def _rewrite_header(path, edit):
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+    edit(header)
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                     + raw[16 + hlen:])
+
+
+@pytest.mark.parametrize("key", ["dim", "degree", "valueType", "extents",
+                                 "resolution"])
+def test_header_missing_key_rejected(tmp_path, sample_field, key):
+    path = tmp_path / "field.bin"
+    dg.write_field(path, sample_field)
+    _rewrite_header(path, lambda h: h.pop(key))
+    with pytest.raises(ValueError, match=f"missing key '{key}'"):
+        dg.read_field(path)
+
+
+def test_header_dim_mismatch_rejected(tmp_path, sample_field):
+    path = tmp_path / "field.bin"
+    dg.write_field(path, sample_field)
+    _rewrite_header(path, lambda h: h.update(dim=2))
+    with pytest.raises(ValueError, match="dim 2"):
+        dg.read_field(path)
+    _rewrite_header(path, lambda h: h.update(dim=3,
+                                             resolution=[4, 6, 5, 4]))
+    with pytest.raises(ValueError, match="4 resolutions"):
+        dg.read_field(path)

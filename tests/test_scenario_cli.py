@@ -1,6 +1,7 @@
 """Scenario parsing, CLI subcommands, exit codes, output determinism."""
 
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -258,3 +259,46 @@ def test_cli_determinism_bit_identical(tmp_path):
         if name == "meta.json":    # sidecar carries the timestamp
             continue
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("kind", ["screw", "edge"])
+def test_cli_verify_negative_dislocation_charge(tmp_path, kind):
+    """A negative screw or edge charge measures its own signed Burgers
+    vector, so the projected check passes like the positive one."""
+    doc = small_screw_doc()
+    doc["defects"][0]["charge"] = -1.0
+    if kind == "edge":
+        doc["defects"][0].update(kind="edge", burgers_direction=[0.0, 1.0])
+    p = write_scenario(tmp_path, doc)
+    code, out = run_cli(tmp_path, "verify", p)
+    report = json.loads((out / "verify_report.json").read_text())
+    burgers = [c for c in report["checks"] if "Burgers charge" in c["name"]]
+    assert len(burgers) == 1 and burgers[0]["relativeError"] < 1e-3
+    assert code == 0 and report["passed"]
+
+
+@pytest.mark.parametrize("key, value, path", [
+    ("external_force", [float("nan"), 0.0, 0.0],
+     r"\$\.dynamics\.external_force\[0\]"),
+    ("Gamma", float("inf"), r"\$\.dynamics\.Gamma"),
+])
+def test_cli_non_finite_number_is_config_error(tmp_path, capsys, key, value,
+                                                path):
+    doc = small_screw_doc()
+    doc["dynamics"] = {"time_step": 0.01, "steps": 2,
+                       "lines": [{"nodes": [[0.5, 0, -0.2], [0.5, 0, 0.2]],
+                                  "burgers": [0, 0, 1]}],
+                       key: value}
+    p = write_scenario(tmp_path, doc)
+    assert "NaN" in p.read_text() or "Infinity" in p.read_text()
+    code, out = run_cli(tmp_path, "simulate", p)
+    assert code == 1
+    assert re.search(path, capsys.readouterr().err)
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_number_too_large_for_float_reports_path():
+    doc = minimal_doc()
+    doc["couplings"]["alpha"] = 10 ** 400
+    with pytest.raises(ScenarioError, match=r"\$\.couplings\.alpha: .*finite"):
+        parse_scenario(doc)
