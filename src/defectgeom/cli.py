@@ -28,7 +28,7 @@ from .defects import (
     frank_angles,
     torsion,
 )
-from .dynamics import magnus_force, step_lines, transversality_defect
+from .dynamics import _euler_step, magnus_force, transversality_defect
 from .field_theory import (
     bianchi_residuals,
     el_coframe_residual,
@@ -334,28 +334,20 @@ def cmd_simulate(scenario: Scenario, out: Path, scale: int) -> int:
     lines = list(scenario.lines)
     initial_ledger = charge_ledger(lines, [])
     all_events = []
-    rows = []
+    all_clips = []
+    node_steps = []
     current = lines
-    one = type(params)(Gamma=params.Gamma, time_step=params.time_step,
-                       steps=1, force_law=params.force_law,
-                       external_force=params.external_force)
     for step in range(params.steps):
-        current, diags, _clips = step_lines(current, disc, one, grid.extents)
-        for d in diags:
-            rows.append((step, d.line_id, d.node, *d.position, *d.velocity,
-                         *d.f_ext, *d.f_magnus, d.transversality))
+        current, node_step, clips = _euler_step(current, disc, params,
+                                                grid.extents, step)
+        node_steps.append(node_step)
+        all_clips.extend(clips)
         if scenario.reconnection_threshold is not None:
             current, events = detect_and_reconnect(
                 current, scenario.reconnection_threshold, r, e, step=step)
             all_events.extend(events)
 
-    with open(out / "trajectory.csv", "w", encoding="utf-8") as fh:
-        fh.write("step,line_id,node,px,py,pz,vx,vy,vz,"
-                 "fx_ext,fy_ext,fz_ext,fx_mag,fy_mag,fz_mag,transversality\n")
-        for row in rows:
-            fh.write(",".join(
-                str(v) if isinstance(v, (int, str)) else f"{v:.17g}"
-                for v in row) + "\n")
+    _write_trajectory(out / "trajectory.csv", node_steps)
 
     with open(out / "events.jsonl", "w", encoding="utf-8") as fh:
         for ev in all_events:
@@ -372,8 +364,29 @@ def cmd_simulate(scenario: Scenario, out: Path, scale: int) -> int:
         "ledgerDrift": float(np.max(np.abs(final_ledger - initial_ledger))),
     })
 
+    with open(out / "clips.jsonl", "w", encoding="utf-8") as fh:
+        for c in all_clips:
+            fh.write(json.dumps({"step": c.step, "lineId": c.line_id,
+                                 "node": c.node,
+                                 "position": [float(x) for x in c.position]},
+                                sort_keys=True) + "\n")
+
     _write_transversality_map(out / "fig_transversality.csv", scenario, disc)
     return EXIT_OK
+
+
+def _write_trajectory(path, node_steps):
+    """One row per node and step; floats in %.17g, which round-trips."""
+    row = "%d,%s,%d," + ",".join(["%.17g"] * 13) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("step,line_id,node,px,py,pz,vx,vy,vz,"
+                 "fx_ext,fy_ext,fz_ext,fx_mag,fy_mag,fz_mag,transversality\n")
+        for step, s in enumerate(node_steps):
+            values = np.column_stack([s.position, s.velocity, s.f_ext,
+                                      s.f_magnus, s.transversality]).tolist()
+            fh.write("".join(row % (step, line_id, k, *vals)
+                             for line_id, k, vals
+                             in zip(s.line_ids, s.node.tolist(), values)))
 
 
 def _write_transversality_map(path, scenario: Scenario, disc):

@@ -72,9 +72,9 @@ def gaussian_core_density(x, y, eps):
 class DefectSpec:
     """One canonical defect: kind, transverse core position, charge, core size.
 
-    charge is the Burgers magnitude b for screw/edge lines and the Frank
-    angle Theta for wedge lines. Edge defects carry an in-plane unit Burgers
-    direction.
+    charge is the Burgers magnitude b for screw/edge lines, which must be
+    nonzero, and the Frank angle Theta for wedge lines. Edge defects carry an
+    in-plane unit Burgers direction.
     """
 
     kind: str
@@ -91,6 +91,9 @@ class DefectSpec:
             raise ValueError("position must be a finite 2D transverse point")
         if not np.isfinite(self.charge):
             raise ValueError("charge must be finite")
+        if self.kind in (SCREW, EDGE) and self.charge == 0:
+            raise ValueError(f"charge must be nonzero for a {self.kind} "
+                             "dislocation")
         if not (self.core_radius > 0 and np.isfinite(self.core_radius)):
             raise ValueError("core radius must be positive")
         object.__setattr__(self, "position", (float(pos[0]), float(pos[1])))

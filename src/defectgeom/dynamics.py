@@ -10,7 +10,6 @@ Positions advance by explicit Euler after the exact velocity solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -111,13 +110,16 @@ class DisclinationField:
 
 @dataclass(frozen=True)
 class DynamicsParams:
-    """Stepping parameters for the overdamped line integrator."""
+    """Stepping parameters for the overdamped line integrator.
+
+    external_force is one uniform 3-vector applied to every node.
+    """
 
     Gamma: float
     time_step: float
     steps: int
     force_law: str = CROSS_PRODUCT
-    external_force: Union[np.ndarray, Callable] = (0.0, 0.0, 0.0)
+    external_force: np.ndarray = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.force_law not in (CROSS_PRODUCT, DERIVATION_CONSISTENT):
@@ -126,11 +128,10 @@ class DynamicsParams:
             raise ValueError("time step must be positive")
         if self.steps < 0:
             raise ValueError("step count must be nonnegative")
-
-    def external_at(self, point: np.ndarray) -> np.ndarray:
-        if callable(self.external_force):
-            return np.asarray(self.external_force(point), float)
-        return np.asarray(self.external_force, float)
+        ext = np.array(self.external_force, float)
+        if ext.shape != (3,):
+            raise ValueError("external force must be a 3-vector")
+        object.__setattr__(self, "external_force", ext)
 
 
 def magnus_force(theta, burgers, velocity, Gamma, law=CROSS_PRODUCT,
@@ -216,63 +217,145 @@ def transversality_defect(f_magnus, velocity) -> float:
                  / (np.linalg.norm(fm) * np.linalg.norm(v) + _TINY))
 
 
+@dataclass
+class NodeStep:
+    """Per-node record of one integration step, stacked in (line, node) order.
+
+    Row i belongs to node node[i] of the line line_ids[i]; position is the
+    node before the step.
+    """
+
+    line_ids: list
+    node: np.ndarray
+    position: np.ndarray
+    velocity: np.ndarray
+    f_ext: np.ndarray
+    f_magnus: np.ndarray
+    transversality: np.ndarray
+
+
+def _dot(a, b):
+    """Row-wise dot products of (n, 3) arrays, bit-equal to np.dot per row.
+
+    matmul of (1, 3) by (3, 1) runs the same dot kernel as np.dot on 1-D
+    arrays; einsum and sum(axis=1) add in another order.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _stacked(parts):
+    """Concatenate (m, 3) arrays; an empty line set gives shape (0, 3)."""
+    return np.concatenate([np.empty((0, 3)), *parts])
+
+
+def _euler_step(lines, disclinations: DisclinationField,
+                params: DynamicsParams, extents, step: int):
+    """Advance every node of every line by one explicit-Euler step.
+
+    All nodes are solved as one stacked (n, 3, 3) system with the arithmetic
+    of solve_velocity, magnus_force and transversality_defect, so each node
+    gets the bits of the per-node functions. Returns (new_lines, NodeStep,
+    clip_events); clipping follows step_lines.
+    """
+    lines = [DislocationLine(np.array(l.nodes), np.array(l.burgers), l.closed,
+                             l.mobility, l.id) for l in lines]
+    counts = np.array([len(l.nodes) for l in lines], int)
+    line_of = np.repeat(np.arange(len(lines)), counts)
+    node = np.arange(len(line_of)) - np.repeat(np.cumsum(counts) - counts,
+                                               counts)
+    nodes = _stacked(l.nodes for l in lines)
+    tans = _stacked(l.tangents() for l in lines)
+    burgers = _stacked(np.broadcast_to(l.burgers, l.nodes.shape)
+                       for l in lines)
+    mobility = np.repeat([float(l.mobility) for l in lines], counts)
+    thetas = disclinations.theta_at(nodes)
+    f_ext = np.broadcast_to(params.external_force, nodes.shape)
+    Gamma = params.Gamma
+
+    if params.force_law == CROSS_PRODUCT:
+        theta_x_b = np.cross(thetas, burgers)
+        w = Gamma * theta_x_b
+    else:
+        coeff = Gamma * _dot(thetas, tans) * _dot(burgers, tans)
+        w = coeff[:, None] * tans
+    A = np.zeros((len(nodes), 3, 3))
+    A[:, 0, 1], A[:, 0, 2] = -w[:, 2], w[:, 1]
+    A[:, 1, 0], A[:, 1, 2] = w[:, 2], -w[:, 0]
+    A[:, 2, 0], A[:, 2, 1] = -w[:, 1], w[:, 0]
+    lhs = np.eye(3) - mobility[:, None, None] * A
+    rhs = mobility[:, None] * f_ext
+    try:
+        v = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    except np.linalg.LinAlgError as err:  # unreachable for antisymmetric A
+        raise ValueError("singular velocity system") from err
+    if params.force_law == CROSS_PRODUCT:
+        fm = Gamma * np.cross(theta_x_b, v)
+    else:
+        fm = coeff[:, None] * np.cross(tans, v)
+
+    bad = ~(np.isfinite(v).all(axis=1) & np.isfinite(fm).all(axis=1))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"non-finite dynamics at step {step}: line "
+            f"{lines[line_of[i]].id!r} node {node[i]} has velocity "
+            f"{v[i].tolist()} and force {fm[i].tolist()}")
+    speed = np.sqrt(_dot(v, v))
+    if extents is not None:
+        min_span = min(hi - lo for lo, hi in extents)
+        travel = params.time_step * speed
+        too_far = travel > 0.1 * min_span
+        if too_far.any():
+            raise ValueError(
+                "time step too large: node displacement "
+                f"{travel[np.argmax(too_far)]:.3g} exceeds 0.1 * domain span")
+    transversality = np.abs(_dot(fm, v)) \
+        / (np.sqrt(_dot(fm, fm)) * speed + _TINY)
+    moved = nodes + params.time_step * v
+
+    inside = np.ones(len(moved), bool)
+    for i, (lo, hi) in enumerate(() if extents is None else extents):
+        inside &= (moved[:, i] >= lo) & (moved[:, i] <= hi)
+    clips = [ClipEvent(step=step, line_id=lines[line_of[i]].id,
+                       node=int(node[i]), position=moved[i].copy())
+             for i in np.flatnonzero(~inside)]
+    survivors = []
+    stop = 0
+    for line, count in zip(lines, counts):
+        start, stop = stop, stop + count
+        kept = moved[start:stop][inside[start:stop]]
+        if len(kept) >= (3 if line.closed else 2):
+            line.nodes = kept
+            survivors.append(line)
+    ids = [line.id for line in lines]
+    return survivors, NodeStep(
+        line_ids=[ids[k] for k in line_of.tolist()], node=node,
+        position=nodes, velocity=v, f_ext=f_ext, f_magnus=fm,
+        transversality=transversality), clips
+
+
 def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
                extents=None):
     """Advance lines for params.steps explicit-Euler steps.
 
     Returns (new_lines, diagnostics, clip_events). Nodes leaving the extents
     are clipped from their line and logged; a line reduced below two nodes is
-    dropped. The step size must satisfy dt * M * |F| <= 0.1 * min extent.
+    dropped. The step size must satisfy dt * M * |F| <= 0.1 * min extent, and
+    a non-finite velocity or force raises ValueError naming the node.
     """
-    lines = [DislocationLine(np.array(l.nodes), np.array(l.burgers), l.closed,
-                             l.mobility, l.id) for l in lines]
+    lines = list(lines)
     diagnostics = []
     clips = []
-    if extents is not None:
-        min_span = min(hi - lo for lo, hi in extents)
     for step in range(params.steps):
-        for line in lines:
-            tans = line.tangents()
-            thetas = disclinations.theta_at(line.nodes)
-            new_nodes = np.array(line.nodes)
-            for k in range(len(line.nodes)):
-                f_ext = params.external_at(line.nodes[k])
-                v = solve_velocity(f_ext, thetas[k], line.burgers,
-                                   params.Gamma, line.mobility,
-                                   params.force_law, tans[k])
-                fm = magnus_force(thetas[k], line.burgers, v, params.Gamma,
-                                  params.force_law, tans[k])
-                if extents is not None:
-                    travel = params.time_step * np.linalg.norm(v)
-                    if travel > 0.1 * min_span:
-                        raise ValueError(
-                            "time step too large: node displacement "
-                            f"{travel:.3g} exceeds 0.1 * domain span")
-                diagnostics.append(StepDiagnostics(
-                    step=step, line_id=line.id, node=k,
-                    position=line.nodes[k].copy(), velocity=v,
-                    f_ext=f_ext, f_magnus=fm,
-                    transversality=transversality_defect(fm, v)))
-                new_nodes[k] = line.nodes[k] + params.time_step * v
-            line.nodes = new_nodes
-        if extents is not None:
-            survivors = []
-            for line in lines:
-                inside = np.ones(len(line.nodes), bool)
-                for i, (lo, hi) in enumerate(extents):
-                    inside &= (line.nodes[:, i] >= lo) & (line.nodes[:, i] <= hi)
-                if not np.all(inside):
-                    for k in np.nonzero(~inside)[0]:
-                        clips.append(ClipEvent(step=step, line_id=line.id,
-                                               node=int(k),
-                                               position=line.nodes[k].copy()))
-                    kept = line.nodes[inside]
-                    if len(kept) >= (3 if line.closed else 2):
-                        line.nodes = kept
-                        survivors.append(line)
-                else:
-                    survivors.append(line)
-            lines = survivors
+        lines, s, step_clips = _euler_step(lines, disclinations, params,
+                                           extents, step)
+        diagnostics.extend(
+            StepDiagnostics(step=step, line_id=line_id, node=int(k),
+                            position=s.position[i], velocity=s.velocity[i],
+                            f_ext=s.f_ext[i], f_magnus=s.f_magnus[i],
+                            transversality=float(s.transversality[i]))
+            for i, (line_id, k) in enumerate(zip(s.line_ids, s.node)))
+        clips.extend(step_clips)
     return lines, diagnostics, clips
 
 

@@ -180,10 +180,7 @@ def _smooth_once(nodes: np.ndarray) -> np.ndarray:
         return nodes
     out = np.array(nodes)
     out[1:-1] = 0.5 * (nodes[:-2] + nodes[2:])
-    keep = np.ones(len(out), bool)
-    seg = np.linalg.norm(np.diff(out, axis=0), axis=1)
-    keep[1:][seg == 0] = False
-    return out[keep]
+    return _dedup_consecutive(out)
 
 
 def detect_and_reconnect(lines, threshold: float, r: FormField, e: FormField,
@@ -191,10 +188,11 @@ def detect_and_reconnect(lines, threshold: float, r: FormField, e: FormField,
     """One deterministic proximity-reconnection pass over a line set.
 
     Scans line pairs in (line index, node index) order; the first node pair
-    within `threshold` triggers a merge. The exchanged charge comes from the
-    curvature flux through a cube of side 2*threshold at the contact point.
-    A merged Burgers vector below `annihilation_tol` removes both lines.
-    Returns (new_lines, events).
+    within `threshold` triggers a merge and a rescan. Pairs whose bounding
+    boxes are `threshold` apart on some axis are skipped before the node
+    test. The exchanged charge comes from the curvature flux through a cube
+    of side 2*threshold at the contact point. A merged Burgers vector below
+    `annihilation_tol` removes both lines. Returns (new_lines, events).
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -203,39 +201,55 @@ def detect_and_reconnect(lines, threshold: float, r: FormField, e: FormField,
     merged = True
     while merged:
         merged = False
-        for i in range(len(lines)):
-            for j in range(i + 1, len(lines)):
-                contact = _find_contact(lines[i], lines[j], threshold)
-                if contact is None:
-                    continue
-                ni, nj = contact
-                point = 0.5 * (lines[i].nodes[ni] + lines[j].nodes[nj])
-                grid = r.grid
-                lo = [max(point[k] - threshold, grid.extents[k][0])
-                      for k in range(3)]
-                hi = [min(point[k] + threshold, grid.extents[k][1])
-                      for k in range(3)]
-                delta_b = curvature_screened_flux(r, e, Box(tuple(lo), tuple(hi)))[:3]
-                b_f, event = reconnect(lines[i].burgers, lines[j].burgers,
-                                       delta_b, Box(tuple(lo), tuple(hi)), step)
-                events.append(event)
-                line_i, line_j = lines[i], lines[j]
-                del lines[j], lines[i]
-                if np.linalg.norm(b_f) > annihilation_tol:
-                    nodes = np.vstack([line_i.nodes[: ni + 1],
-                                       line_j.nodes[nj:]])
-                    nodes = _dedup_consecutive(nodes)
-                    nodes = _smooth_once(nodes)
-                    if len(nodes) >= 2:
-                        lines.append(DislocationLine(
-                            nodes, b_f, closed=False,
-                            mobility=line_i.mobility,
-                            id=f"{line_i.id}+{line_j.id}"))
-                merged = True
-                break
-            if merged:
-                break
+        for i, j in _candidate_pairs(lines, threshold):
+            contact = _find_contact(lines[i], lines[j], threshold)
+            if contact is None:
+                continue
+            ni, nj = contact
+            point = 0.5 * (lines[i].nodes[ni] + lines[j].nodes[nj])
+            grid = r.grid
+            lo = [max(point[k] - threshold, grid.extents[k][0])
+                  for k in range(3)]
+            hi = [min(point[k] + threshold, grid.extents[k][1])
+                  for k in range(3)]
+            delta_b = curvature_screened_flux(r, e, Box(tuple(lo), tuple(hi)))[:3]
+            b_f, event = reconnect(lines[i].burgers, lines[j].burgers,
+                                   delta_b, Box(tuple(lo), tuple(hi)), step)
+            events.append(event)
+            line_i, line_j = lines[i], lines[j]
+            del lines[j], lines[i]
+            if np.linalg.norm(b_f) > annihilation_tol:
+                nodes = np.vstack([line_i.nodes[: ni + 1],
+                                   line_j.nodes[nj:]])
+                nodes = _dedup_consecutive(nodes)
+                nodes = _smooth_once(nodes)
+                if len(nodes) >= 2:
+                    lines.append(DislocationLine(
+                        nodes, b_f, closed=False,
+                        mobility=line_i.mobility,
+                        id=f"{line_i.id}+{line_j.id}"))
+            merged = True
+            break
     return lines, events
+
+
+def _candidate_pairs(lines, threshold):
+    """Line pairs i < j, in scan order, whose bounding boxes are closer than
+    `threshold` on every axis.
+
+    For nodes a of line i and b of line j, fl(lo_i - hi_j) <= fl(a_k - b_k)
+    because rounding is monotone, and a node distance below the threshold
+    bounds every |a_k - b_k| unless a_k - b_k squares below the normal range;
+    the 1e-150 floor covers that case. So no pair with a contact is skipped.
+    fmin/fmax ignore NaN nodes, which never make a contact.
+    """
+    if len(lines) < 2:
+        return []
+    lo = np.array([np.fmin.reduce(l.nodes) for l in lines])
+    hi = np.array([np.fmax.reduce(l.nodes) for l in lines])
+    near = np.all(lo[:, None, :] - hi[None, :, :] < max(threshold, 1e-150),
+                  axis=2)
+    return np.argwhere(np.triu(near & near.T, 1)).tolist()
 
 
 def _find_contact(line_a, line_b, threshold):

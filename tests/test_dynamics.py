@@ -291,3 +291,105 @@ def test_transport_linear_in_burgers(transport_grid):
     # the flux-transport estimate uses the same b, so the reported ratio is
     # b-independent
     assert abs(rep2.ratio - rep1.ratio) < 0.02 * rep1.ratio
+
+
+# ---------------------------------------------------------------------------
+# stacked step against the per-node functions
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    return np.asarray(a, float).tobytes()
+
+
+def _per_node_step(lines, disc, params):
+    """One Euler step node by node with solve_velocity, magnus_force and
+    transversality_defect: rows (line id, node, position, v, F, defect)."""
+    rows, moved = [], []
+    for line in lines:
+        tans = line.tangents()
+        thetas = disc.theta_at(line.nodes)
+        new = np.array(line.nodes)
+        for k in range(len(line.nodes)):
+            v = solve_velocity(params.external_force, thetas[k], line.burgers,
+                               params.Gamma, line.mobility, params.force_law,
+                               tans[k])
+            fm = magnus_force(thetas[k], line.burgers, v, params.Gamma,
+                              params.force_law, tans[k])
+            rows.append((line.id, k, line.nodes[k], v, fm,
+                         transversality_defect(fm, v)))
+            new[k] = line.nodes[k] + params.time_step * v
+        moved.append(new)
+    return rows, moved
+
+
+def _random_lines(rng):
+    lines = []
+    for i in range(rng.integers(1, 6)):
+        closed = bool(rng.integers(2))
+        m = rng.integers(3 if closed else 2, 9)
+        start = rng.uniform([-1.0, -1.0, -0.3], [1.0, 1.0, 0.3])
+        nodes = start + np.cumsum(rng.normal(scale=0.1, size=(m, 3)), axis=0)
+        lines.append(DislocationLine(nodes, rng.normal(size=3), closed=closed,
+                                     mobility=rng.uniform(0.3, 2.0),
+                                     id=f"l{i}"))
+    return lines
+
+
+def test_stacked_step_bit_equal_to_per_node_solve():
+    """Random lines, both force laws, closed lines and mixed mobilities:
+    every diagnostic and every moved node has the per-node bits."""
+    rng = np.random.default_rng(7)
+    for trial in range(150):
+        lines = _random_lines(rng)
+        disc = DisclinationField([
+            DisclinationSource(tuple(rng.uniform(-1.0, 1.0, 2)),
+                               rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.3),
+                               rng.uniform(0.1, 0.4))
+            for _ in range(rng.integers(0, 4))])
+        params = DynamicsParams(
+            Gamma=rng.uniform(0.0, 3.0), time_step=0.01, steps=1,
+            force_law=(CROSS_PRODUCT, DERIVATION_CONSISTENT)[trial % 2],
+            external_force=rng.normal(scale=0.5, size=3))
+        out, diags, clips = step_lines(lines, disc, params)
+        rows, moved = _per_node_step(lines, disc, params)
+        assert not clips and len(diags) == len(rows)
+        for d, (line_id, k, pos, v, fm, tr) in zip(diags, rows):
+            assert (d.step, d.line_id, d.node) == (0, line_id, k)
+            assert _bits(d.position) == _bits(pos)
+            assert _bits(d.velocity) == _bits(v)
+            assert _bits(d.f_ext) == _bits(params.external_force)
+            assert _bits(d.f_magnus) == _bits(fm)
+            assert _bits(d.transversality) == _bits(tr)
+        assert [l.id for l in out] == [l.id for l in lines]
+        for line, new in zip(out, moved):
+            assert _bits(line.nodes) == _bits(new)
+
+
+def test_step_size_error_reports_first_node_in_line_order():
+    slow = straight_line(x0=-0.5, mobility=1.0)
+    fast = straight_line(x0=0.5, mobility=3.0)
+    params = DynamicsParams(Gamma=0.0, time_step=1.0, steps=1,
+                            external_force=np.array([1.0, 0.0, 0.0]))
+    # both lines travel more than 0.1 * 0.8; the first line is reported
+    with pytest.raises(ValueError, match="displacement 1 exceeds"):
+        step_lines([slow, fast], DisclinationField([]), params, EXTENTS)
+    with pytest.raises(ValueError, match="displacement 3 exceeds"):
+        step_lines([fast, slow], DisclinationField([]), params, EXTENTS)
+
+
+def test_step_rejects_non_finite_velocity():
+    # Gamma (Theta . t)(b . t) overflows, so the velocity solve yields NaN
+    line = straight_line(b=(0.0, 0.0, 100.0))
+    disc = DisclinationField([DisclinationSource((0.0, 0.0), 0.1, 0.05)])
+    params = DynamicsParams(Gamma=1e308, time_step=0.01, steps=2,
+                            force_law=DERIVATION_CONSISTENT,
+                            external_force=np.array([0.3, 0.0, 0.0]))
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
+        step_lines([line], disc, params, EXTENTS)
+    assert "non-finite dynamics at step 0: line 'L' node 0 " in str(err.value)
+
+
+def test_external_force_must_be_a_3_vector():
+    with pytest.raises(ValueError, match="3-vector"):
+        DynamicsParams(Gamma=1.0, time_step=0.1, steps=1,
+                       external_force=np.zeros(2))

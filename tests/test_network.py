@@ -1,6 +1,8 @@
 """Reconnection algebra, curvature-screened Burgers exchange, junction
 balance, network structure."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,10 @@ from defectgeom.network import (
     curvature_screened_flux,
     detect_and_reconnect,
     reconnect,
+    _candidate_pairs,
+    _dedup_consecutive,
+    _find_contact,
+    _smooth_once,
 )
 from defectgeom.dynamics import DislocationLine
 
@@ -301,3 +307,109 @@ def test_smoothing_preserves_charges(grid64):
     assert len(out) == 1 and len(events) == 1
     assert np.array_equal(out[0].burgers, [1, 1, 0])
     assert len(out[0].nodes) >= 2
+
+
+# ---------------------------------------------------------------------------
+# pruned contact scan against the all-pairs scan
+# ---------------------------------------------------------------------------
+
+def _all_pairs_reconnect(lines, threshold, r, e, step=0,
+                         annihilation_tol=1e-12):
+    """detect_and_reconnect with every line pair tested by _find_contact."""
+    lines = list(lines)
+    events = []
+    merged = True
+    while merged:
+        merged = False
+        for i in range(len(lines)):
+            for j in range(i + 1, len(lines)):
+                contact = _find_contact(lines[i], lines[j], threshold)
+                if contact is None:
+                    continue
+                ni, nj = contact
+                point = 0.5 * (lines[i].nodes[ni] + lines[j].nodes[nj])
+                ext = r.grid.extents
+                box = Box(tuple(max(point[k] - threshold, ext[k][0])
+                                for k in range(3)),
+                          tuple(min(point[k] + threshold, ext[k][1])
+                                for k in range(3)))
+                delta_b = curvature_screened_flux(r, e, box)[:3]
+                b_f, event = reconnect(lines[i].burgers, lines[j].burgers,
+                                       delta_b, box, step)
+                events.append(event)
+                line_i, line_j = lines[i], lines[j]
+                del lines[j], lines[i]
+                if np.linalg.norm(b_f) > annihilation_tol:
+                    nodes = _smooth_once(_dedup_consecutive(np.vstack(
+                        [line_i.nodes[: ni + 1], line_j.nodes[nj:]])))
+                    if len(nodes) >= 2:
+                        lines.append(DislocationLine(
+                            nodes, b_f, mobility=line_i.mobility,
+                            id=f"{line_i.id}+{line_j.id}"))
+                merged = True
+                break
+            if merged:
+                break
+    return lines, events
+
+
+def _near_threshold_lines(rng, threshold):
+    """Random walks inside the grid plus planted node pairs just inside, at
+    and just outside the threshold, along an axis or a random direction."""
+    lines = []
+    for i in range(rng.integers(6, 13)):
+        m = rng.integers(2, 7)
+        start = rng.uniform([-1.2, -1.2, -0.3], [1.2, 1.2, 0.3])
+        nodes = start + np.cumsum(rng.normal(scale=0.08, size=(m, 3)), axis=0)
+        nodes = np.clip(nodes, [-1.3, -1.3, -0.25], [1.3, 1.3, 0.25])
+        b = rng.integers(-1, 2, size=3).astype(float)
+        if not b.any():
+            b[0] = 1.0
+        lines.append([nodes, b])
+    for _ in range(rng.integers(1, 5)):
+        i, j = rng.choice(len(lines), 2, replace=False)
+        a = lines[i][0][rng.integers(len(lines[i][0]))]
+        if rng.integers(2):
+            step = np.zeros(3)
+            step[rng.integers(3)] = rng.choice([-1.0, 1.0])
+        else:
+            step = rng.normal(size=3)
+            step /= np.linalg.norm(step)
+        scale = rng.choice([1 - 1e-12, 1.0, 1 + 1e-12, 0.5, 1.5])
+        nodes_j = lines[j][0]
+        nodes_j[rng.integers(len(nodes_j))] = a + threshold * scale * step
+        if rng.integers(2):
+            lines[j][1] = -lines[i][1]
+    return [DislocationLine(nodes, b, mobility=float(k % 3 + 1), id=f"l{k}")
+            for k, (nodes, b) in enumerate(lines)]
+
+
+def _event_json(events):
+    return [json.dumps(ev.as_record(), sort_keys=True) for ev in events]
+
+
+def test_pruned_scan_matches_all_pairs_scan(grid64):
+    r, e = zero_background(grid64)
+    rng = np.random.default_rng(3)
+    total_events = 0
+    for _ in range(60):
+        threshold = rng.uniform(0.01, 0.08)
+        lines = _near_threshold_lines(rng, threshold)
+        out, events = detect_and_reconnect(lines, threshold, r, e, step=2)
+        ref_out, ref_events = _all_pairs_reconnect(lines, threshold, r, e,
+                                                   step=2)
+        assert _event_json(events) == _event_json(ref_events)
+        assert [l.id for l in out] == [l.id for l in ref_out]
+        for got, want in zip(out, ref_out):
+            assert got.nodes.tobytes() == want.nodes.tobytes()
+            assert got.burgers.tobytes() == want.burgers.tobytes()
+            assert got.mobility == want.mobility
+        total_events += len(events)
+    assert total_events > 20
+
+
+def test_candidate_pairs_skip_distant_lines():
+    lines = [vertical_line(x, [1, 0, 0], f"l{k}")
+             for k, x in enumerate((-0.5, 0.0, 0.015, 0.5))]
+    assert _candidate_pairs(lines, 0.02) == [[1, 2]]
+    assert _candidate_pairs(lines[:1], 0.02) == []

@@ -302,3 +302,69 @@ def test_number_too_large_for_float_reports_path():
     doc["couplings"]["alpha"] = 10 ** 400
     with pytest.raises(ScenarioError, match=r"\$\.couplings\.alpha: .*finite"):
         parse_scenario(doc)
+
+
+@pytest.mark.parametrize("kind", ["screw", "edge"])
+def test_zero_dislocation_charge_is_config_error(kind):
+    defect = {"kind": kind, "position": [0.0, 0.0], "charge": 0.0,
+              "core_radius": 0.05}
+    if kind == "edge":
+        defect["burgers_direction"] = [1.0, 0.0]
+    with pytest.raises(ScenarioError,
+                       match=r"\$\.defects\[0\]: charge must be nonzero"):
+        parse_scenario(minimal_doc(defects=[defect]))
+
+
+def test_zero_wedge_charge_parses():
+    s = parse_scenario(minimal_doc(defects=[
+        {"kind": "wedge", "position": [0.0, 0.0], "charge": 0.0,
+         "core_radius": 0.05}]))
+    assert s.defects[0].charge == 0.0
+
+
+def test_cli_verify_zero_screw_charge_exit_1(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "screw.json").read_text())
+    doc["defects"][0]["charge"] = 0.0
+    code, _ = run_cli(tmp_path, "verify", write_scenario(tmp_path, doc))
+    assert code == 1
+    assert "$.defects[0]: charge must be nonzero" in capsys.readouterr().err
+
+
+def test_cli_simulate_non_finite_dynamics_exit_3(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "magnus.json").read_text())
+    dyn = doc["dynamics"]
+    dyn["Gamma"] = 1e308
+    dyn["lines"][0]["burgers"] = [0, 0, 100]
+    dyn["disclination_sources"][0]["position"] = [-0.3, 0.0]
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, "simulate",
+                            write_scenario(tmp_path, doc))
+    assert code == 3
+    assert "non-finite dynamics at step 0: line 'screw1' node 0" \
+        in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_simulate_writes_clip_events(tmp_path):
+    doc = minimal_doc(outputs=["trajectories"])
+    doc["dynamics"] = {
+        "Gamma": 0.0, "time_step": 0.05, "steps": 4,
+        "external_force": [1.0, 0.0, 0.0],
+        "lines": [{"nodes": [[0.80, 0.0, -0.2], [0.87, 0.0, 0.0],
+                             [0.93, 0.0, 0.2]],
+                   "burgers": [1.0, 0.0, 0.0], "id": "edge"}]}
+    code, out = run_cli(tmp_path, "simulate", write_scenario(tmp_path, doc))
+    assert code == 0
+    lines = (out / "clips.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(rec, sort_keys=True) for rec in records]
+    # x = 1 is the boundary: node 2 leaves in step 1, node 1 in step 2, and
+    # the line, down to one node, is dropped
+    assert [(r["step"], r["lineId"], r["node"]) for r in records] == \
+        [(1, "edge", 2), (2, "edge", 1)]
+    assert all(r["position"][0] > 1.0 for r in records)
+    assert records[0]["position"] == pytest.approx([1.03, 0.0, 0.2])
+    final = json.loads((out / "network_final.json").read_text())
+    assert final["lines"] == []
+    rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == list("00011122")
