@@ -325,11 +325,13 @@ def cmd_simulate(scenario: Scenario, out: Path, scale: int) -> int:
         raise ScenarioError("$.dynamics: missing (required by simulate)")
     config = scenario.configuration(scale)
     grid = config.grid
-    e = build_coframe(config)
-    omega = build_connection(config)
-    r = curvature(omega)
     disc = scenario.disclination_field()
     params = scenario.dynamics
+    threshold = scenario.reconnection_threshold
+    if threshold is not None:
+        # only the reconnection flux reads the geometry fields
+        e = build_coframe(config)
+        r = curvature(build_connection(config))
 
     lines = list(scenario.lines)
     initial_ledger = charge_ledger(lines, [])
@@ -342,9 +344,9 @@ def cmd_simulate(scenario: Scenario, out: Path, scale: int) -> int:
                                                 grid.extents, step)
         node_steps.append(node_step)
         all_clips.extend(clips)
-        if scenario.reconnection_threshold is not None:
-            current, events = detect_and_reconnect(
-                current, scenario.reconnection_threshold, r, e, step=step)
+        if threshold is not None:
+            current, events = detect_and_reconnect(current, threshold, r, e,
+                                                   step=step)
             all_events.extend(events)
 
     _write_trajectory(out / "trajectory.csv", node_steps)

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .forms import hodge_star
+
 CROSS_PRODUCT = "cross"
 DERIVATION_CONSISTENT = "derivation"
 
@@ -101,11 +103,6 @@ class DisclinationField:
             weight = 0.5 * np.exp(-r2 / (2.0 * s.core_radius ** 2))
             out[..., 2] += s.frank * weight
         return out
-
-    def core_area(self) -> float:
-        if not self.sources:
-            return 0.0
-        return float(np.pi * self.sources[0].core_radius ** 2)
 
 
 @dataclass(frozen=True)
@@ -376,11 +373,10 @@ def transport_residual(torsion_before, torsion_after, dt, tangent, velocity,
     (*T_after - *T_before) / dt; the analytic flux-transport estimate uses
     the regularized core area.
     """
-    from .forms import hodge_star as star
     tangent = np.asarray(tangent, float)
     velocity = np.asarray(velocity, float)
-    s0 = star(torsion_before)
-    s1 = star(torsion_after)
+    s0 = hodge_star(torsion_before)
+    s1 = hodge_star(torsion_after)
     rate = (s1 - s0) * (1.0 / dt)
     # tangent projection: for frame-vector 1-forms, project both the frame
     # index and the coefficient index onto the core direction

@@ -20,7 +20,6 @@ from .forms import (
     FormField,
     GridSpec,
     antisym_pairs,
-    basis_indices,
     covariant_exterior_derivative,
     exterior_derivative,
     grid_integral,
@@ -29,6 +28,7 @@ from .forms import (
     require_connection,
     wedge,
     _coeff_shape,
+    _frame_sum,
 )
 from .defects import curvature, torsion
 from .geometry import Box, box_integral
@@ -250,20 +250,14 @@ def el_connection_residual(e: FormField, omega: FormField, c: Couplings,
     if e.grid.dim != 4:
         raise ValueError("spin balance residual needs a 4D configuration; "
                          "embed static 3D fields first")
-    grid = e.grid
     t = torsion(e, omega)
     r = curvature(omega)
     dstar = covariant_exterior_derivative(hodge_star(r), omega)
     st = hodge_star(t)
-    n = grid.dim
-    k = 1 + st.degree
-    ncomp = len(basis_indices(n, k))
-    anti = np.zeros((n * (n - 1) // 2, ncomp) + grid.resolution)
-    from .forms import _scalar_wedge
-    for p, (fa, fb) in enumerate(antisym_pairs(n)):
-        anti[p] = _scalar_wedge(grid, 1, st.degree, e.coeffs[fa], st.coeffs[fb]) \
-            - _scalar_wedge(grid, 1, st.degree, e.coeffs[fb], st.coeffs[fa])
-    res = dstar + c.kappa_el * FormField(grid, k, ANTISYM, anti)
+    anti = _frame_sum(e.grid, 1 + st.degree, ANTISYM,
+                      [term for p, (fa, fb) in enumerate(antisym_pairs(e.grid.dim))
+                       for term in ((p, 1, e, fa, st, fb), (p, -1, e, fb, st, fa))])
+    res = dstar + c.kappa_el * anti
     return make_residual(res, boundary_margin, exclude_tubes,
                          note="D(*R) + kappa (e^*T - e^*T)",
                          margin_axes=margin_axes)

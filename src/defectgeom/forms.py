@@ -217,30 +217,32 @@ class FormField:
             if frame is not None:
                 raise ValueError("scalar field has no frame index")
             return self.coeffs[ci]
-        if self.value_type == VECTOR:
-            return self.coeffs[int(frame), ci]
-        a, b = frame
-        arr, sign = self._antisym_slot(a, b)
+        arr, sign = self._frame_slot(frame)
         return sign * arr[ci] if sign else np.zeros(self.grid.resolution)
 
     def frame_block(self, a: int, b: int = None) -> np.ndarray:
         """All basis components of one frame slot, sign-reflected for antisym."""
-        if self.value_type == VECTOR:
-            return self.coeffs[a]
-        if self.value_type == ANTISYM:
-            arr, sign = self._antisym_slot(a, b)
-            if sign == 0:
-                return np.zeros(self.coeffs.shape[1:])
-            return arr if sign == 1 else -arr
-        raise ValueError("frame_block needs a framed field")
+        if self.value_type == SCALAR:
+            raise ValueError("frame_block needs a framed field")
+        arr, sign = self._frame_slot(a if self.value_type == VECTOR else (a, b))
+        if sign == 0:
+            return np.zeros(self.coeffs.shape[1:])
+        return arr if sign == 1 else -arr
 
-    def _antisym_slot(self, a: int, b: int):
+    def _frame_slot(self, frame):
+        """(stored block, sign) of frame slot a (vector) or (a, b) (antisym).
+
+        The slot equals sign * block; an antisym diagonal has sign 0 and no
+        block. Only the lower triangle a > b is stored.
+        """
+        if self.value_type == VECTOR:
+            return self.coeffs[int(frame)], 1
+        a, b = frame
         if a == b:
             return None, 0
-        pairs = antisym_pairs(self.n_frame)
         if a > b:
-            return self.coeffs[pairs.index((a, b))], 1
-        return self.coeffs[pairs.index((b, a))], -1
+            return self.coeffs[a * (a - 1) // 2 + b], 1
+        return self.coeffs[b * (b - 1) // 2 + a], -1
 
     # -- arithmetic (pure, grid/degree/type must match) ----------------------
 
@@ -372,6 +374,33 @@ def _scalar_wedge(grid, ka, kb, A, B):
     return out
 
 
+def _frame_sum(grid, degree: int, value_type: str, terms) -> FormField:
+    """Framed wedge: sum of signed scalar wedges between frame slots.
+
+    Each term (row, sign, x, x_slot, y, y_slot) adds
+    sign * (x[x_slot] ^ y[y_slot]) to output frame row `row` (row 0 of a
+    scalar result), in term order. Slot reflection signs fold into the term
+    sign instead of negating a copy; negation is exact, so the bits equal
+    those of wedging the reflected blocks. Antisym diagonal slots are zero
+    and skipped: adding an exact zero to an accumulator that starts at +0
+    changes no bit.
+    """
+    shape = _coeff_shape(grid, degree, value_type)
+    out = np.zeros(shape).reshape((-1,) + shape[-grid.dim - 1:])
+    for row, sign, x, x_slot, y, y_slot in terms:
+        xb, xs = x._frame_slot(x_slot)
+        yb, ys = y._frame_slot(y_slot)
+        sign *= xs * ys
+        if sign == 0:
+            continue
+        prod = _scalar_wedge(grid, x.degree, y.degree, xb, yb)
+        if sign > 0:
+            out[row] += prod
+        else:
+            out[row] -= prod
+    return FormField(grid, degree, value_type, out.reshape(shape))
+
+
 def wedge(a: FormField, b: FormField, pairing: str = "none") -> FormField:
     """Pointwise wedge product with caller-chosen frame-index pairing.
 
@@ -388,8 +417,6 @@ def wedge(a: FormField, b: FormField, pairing: str = "none") -> FormField:
     k = a.degree + b.degree
     if k > grid.dim:
         raise ValueError(f"wedge degree {k} exceeds dimension {grid.dim}")
-    n = grid.dim
-    ncomp = len(basis_indices(n, k))
 
     def sw(A, B):
         return _scalar_wedge(grid, a.degree, b.degree, A, B)
@@ -405,40 +432,24 @@ def wedge(a: FormField, b: FormField, pairing: str = "none") -> FormField:
             return FormField(grid, k, a.value_type, out)
         raise ValueError("pairing 'none' needs at most one framed operand")
 
+    frames = range(grid.dim)
     if pairing == "vector":
         if a.value_type == ANTISYM and b.value_type == VECTOR:
-            out = np.zeros((n, ncomp) + grid.resolution)
-            for fa in range(n):
-                for fb in range(n):
-                    if fa == fb:
-                        continue
-                    out[fa] += sw(a.frame_block(fa, fb), b.coeffs[fb])
-            return FormField(grid, k, VECTOR, out)
+            return _frame_sum(grid, k, VECTOR, [(fa, 1, a, (fa, fb), b, fb)
+                                                for fa in frames for fb in frames])
         if a.value_type == VECTOR and b.value_type == ANTISYM:
-            out = np.zeros((n, ncomp) + grid.resolution)
-            for fb in range(n):
-                for fa in range(n):
-                    if fa == fb:
-                        continue
-                    out[fb] += sw(a.coeffs[fa], b.frame_block(fa, fb))
-            return FormField(grid, k, VECTOR, out)
+            return _frame_sum(grid, k, VECTOR, [(fb, 1, a, fa, b, (fa, fb))
+                                                for fb in frames for fa in frames])
         if a.value_type == VECTOR and b.value_type == VECTOR:
-            out = np.zeros((ncomp,) + grid.resolution)
-            for fa in range(n):
-                out += sw(a.coeffs[fa], b.coeffs[fa])
-            return FormField(grid, k, SCALAR, out)
+            return _frame_sum(grid, k, SCALAR, [(0, 1, a, fa, b, fa)
+                                                for fa in frames])
         raise ValueError("pairing 'vector' needs (matrix,vector), (vector,matrix) "
                          "or (vector,vector) operands")
 
     if pairing == "matrix":
         if a.value_type == ANTISYM and b.value_type == ANTISYM:
-            out = np.zeros((ncomp,) + grid.resolution)
-            for fa in range(n):
-                for fb in range(n):
-                    if fa == fb:
-                        continue
-                    out += sw(a.frame_block(fa, fb), b.frame_block(fb, fa))
-            return FormField(grid, k, SCALAR, out)
+            return _frame_sum(grid, k, SCALAR, [(0, 1, a, (fa, fb), b, (fb, fa))
+                                                for fa in frames for fb in frames])
         raise ValueError("pairing 'matrix' needs two matrix-valued operands")
 
     raise ValueError(f"unknown pairing {pairing!r}")
@@ -459,15 +470,9 @@ def antisym_matmul(a: FormField, b: FormField) -> FormField:
     if k > grid.dim:
         raise ValueError("degree overflow")
     n = grid.dim
-    ncomp = len(basis_indices(n, k))
-    out = np.zeros((n * (n - 1) // 2, ncomp) + grid.resolution)
-    for p, (fa, fb) in enumerate(antisym_pairs(n)):
-        for fc in range(n):
-            if fc == fa or fc == fb:
-                continue
-            out[p] += _scalar_wedge(grid, a.degree, b.degree,
-                                    a.frame_block(fa, fc), b.frame_block(fc, fb))
-    return FormField(grid, k, ANTISYM, out)
+    return _frame_sum(grid, k, ANTISYM, [(p, 1, a, (fa, fc), b, (fc, fb))
+                                         for p, (fa, fb) in enumerate(antisym_pairs(n))
+                                         for fc in range(n)])
 
 
 def exterior_derivative(a: FormField) -> FormField:
@@ -556,22 +561,14 @@ def covariant_exterior_derivative(a: FormField, omega: FormField) -> FormField:
     d = exterior_derivative(a)
     if a.value_type == VECTOR:
         return d + wedge(omega, a, pairing="vector")
-    grid = a.grid
-    n = grid.dim
-    k = a.degree + 1
-    ncomp = len(basis_indices(n, k))
-    out = np.zeros((n * (n - 1) // 2, ncomp) + grid.resolution)
-    for p, (fa, fb) in enumerate(antisym_pairs(n)):
-        for fc in range(n):
-            acc = None
-            if fc != fa:
-                acc = _scalar_wedge(grid, 1, a.degree,
-                                    omega.frame_block(fa, fc), a.frame_block(fc, fb))
-                out[p] += acc
-            if fc != fb:
-                out[p] -= _scalar_wedge(grid, a.degree, 1,
-                                        a.frame_block(fa, fc), omega.frame_block(fc, fb))
-    comm = FormField(grid, k, ANTISYM, out)
+    n = a.grid.dim
+    # the omega-term, then the a-term, for each (pair, c): this order fixes
+    # the rounding of the sum
+    comm = _frame_sum(a.grid, a.degree + 1, ANTISYM,
+                      [term for p, (fa, fb) in enumerate(antisym_pairs(n))
+                       for fc in range(n)
+                       for term in ((p, 1, omega, (fa, fc), a, (fc, fb)),
+                                    (p, -1, a, (fa, fc), omega, (fc, fb)))])
     return d + comm
 
 

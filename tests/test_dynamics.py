@@ -129,7 +129,6 @@ def test_disclination_field_weight():
     assert np.allclose(at_core, [0, 0, 0.1], atol=1e-15)
     far = field.theta_at(np.array([[1.0, 0.0, 0.0]]))[0]
     assert abs(far[2] - 0.1 * np.exp(-50.0)) < 1e-30
-    assert field.core_area() == np.pi * 0.01
 
 
 def test_disclination_field_superposition():

@@ -82,6 +82,13 @@ def test_antisym_storage_reflection(g3):
     assert np.array_equal(f.frame_block(1, 0), coeffs[0])
     assert np.array_equal(f.frame_block(0, 1), -coeffs[0])
     assert np.array_equal(f.frame_block(2, 2), np.zeros((3,) + g3.resolution))
+    assert np.array_equal(f.component((0,), (1, 0)), coeffs[0, 0])
+    assert np.array_equal(f.component((0,), (0, 1)), -coeffs[0, 0])
+    assert np.array_equal(f.component((0,), (2, 2)), np.zeros(g3.resolution))
+    v = FormField(g3, 1, VECTOR, np.broadcast_to(
+        np.arange(9.0).reshape(3, 3, 1, 1, 1), (3, 3) + g3.resolution))
+    assert np.array_equal(v.frame_block(2), v.coeffs[2])
+    assert np.array_equal(v.component((1,), 2), np.full(g3.resolution, 7.0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,217 @@
+"""Framed contractions against the per-loop reference, byte for byte.
+
+The `wedge` "vector" and "matrix" pairings, `antisym_matmul`, the covariant
+exterior derivative and the spin-balance residual all accumulate through one
+signed frame-slot helper. The reference below is the explicit frame-index
+loop each of them used before: wedge the sign-reflected blocks
+(`_ref_block` negates a copy) and add in loop order. Results are compared
+with `tobytes()`, so even the sign of a zero must agree.
+"""
+
+import numpy as np
+import pytest
+
+from defectgeom.field_theory import Couplings, el_connection_residual
+from defectgeom.forms import (
+    ANTISYM,
+    SCALAR,
+    VECTOR,
+    FormField,
+    GridSpec,
+    _coeff_shape,
+    _scalar_wedge,
+    antisym_matmul,
+    antisym_pairs,
+    basis_indices,
+    covariant_exterior_derivative,
+    exterior_derivative,
+    hodge_star,
+    wedge,
+)
+
+
+# ---------------------------------------------------------------------------
+# reference: the explicit frame-index loops
+# ---------------------------------------------------------------------------
+
+def _ref_block(f, a, b=None):
+    """Frame slot read straight from storage, reflected antisym as a copy."""
+    if f.value_type == VECTOR:
+        return f.coeffs[a]
+    if a == b:
+        return np.zeros(f.coeffs.shape[1:])
+    pairs = antisym_pairs(f.n_frame)
+    if a > b:
+        return f.coeffs[pairs.index((a, b))]
+    return -f.coeffs[pairs.index((b, a))]
+
+
+def ref_wedge(a, b, pairing):
+    grid = a.grid
+    n = grid.dim
+    k = a.degree + b.degree
+    ncomp = len(basis_indices(n, k))
+
+    def sw(A, B):
+        return _scalar_wedge(grid, a.degree, b.degree, A, B)
+
+    if pairing == "vector" and a.value_type == ANTISYM:
+        out = np.zeros((n, ncomp) + grid.resolution)
+        for fa in range(n):
+            for fb in range(n):
+                if fa == fb:
+                    continue
+                out[fa] += sw(_ref_block(a, fa, fb), b.coeffs[fb])
+        return FormField(grid, k, VECTOR, out)
+    if pairing == "vector" and b.value_type == ANTISYM:
+        out = np.zeros((n, ncomp) + grid.resolution)
+        for fb in range(n):
+            for fa in range(n):
+                if fa == fb:
+                    continue
+                out[fb] += sw(a.coeffs[fa], _ref_block(b, fa, fb))
+        return FormField(grid, k, VECTOR, out)
+    out = np.zeros((ncomp,) + grid.resolution)
+    if pairing == "vector":
+        for fa in range(n):
+            out += sw(a.coeffs[fa], b.coeffs[fa])
+        return FormField(grid, k, SCALAR, out)
+    for fa in range(n):
+        for fb in range(n):
+            if fa == fb:
+                continue
+            out += sw(_ref_block(a, fa, fb), _ref_block(b, fb, fa))
+    return FormField(grid, k, SCALAR, out)
+
+
+def ref_antisym_matmul(a, b):
+    grid = a.grid
+    n = grid.dim
+    k = a.degree + b.degree
+    out = np.zeros((n * (n - 1) // 2, len(basis_indices(n, k))) + grid.resolution)
+    for p, (fa, fb) in enumerate(antisym_pairs(n)):
+        for fc in range(n):
+            if fc == fa or fc == fb:
+                continue
+            out[p] += _scalar_wedge(grid, a.degree, b.degree,
+                                    _ref_block(a, fa, fc), _ref_block(b, fc, fb))
+    return FormField(grid, k, ANTISYM, out)
+
+
+def ref_covariant(a, omega):
+    d = exterior_derivative(a)
+    if a.value_type == VECTOR:
+        return d + ref_wedge(omega, a, "vector")
+    grid = a.grid
+    n = grid.dim
+    k = a.degree + 1
+    out = np.zeros((n * (n - 1) // 2, len(basis_indices(n, k))) + grid.resolution)
+    for p, (fa, fb) in enumerate(antisym_pairs(n)):
+        for fc in range(n):
+            if fc != fa:
+                out[p] += _scalar_wedge(grid, 1, a.degree, _ref_block(omega, fa, fc),
+                                        _ref_block(a, fc, fb))
+            if fc != fb:
+                out[p] -= _scalar_wedge(grid, a.degree, 1, _ref_block(a, fa, fc),
+                                        _ref_block(omega, fc, fb))
+    return d + FormField(grid, k, ANTISYM, out)
+
+
+def ref_spin_balance(e, omega, c):
+    """Field of the spin-balance residual D(*R) + kappa (e^*T - e^*T)."""
+    grid = e.grid
+    t = ref_covariant(e, omega)
+    r = exterior_derivative(omega) + ref_antisym_matmul(omega, omega)
+    dstar = ref_covariant(hodge_star(r), omega)
+    st = hodge_star(t)
+    n = grid.dim
+    k = 1 + st.degree
+    anti = np.zeros((n * (n - 1) // 2, len(basis_indices(n, k))) + grid.resolution)
+    for p, (fa, fb) in enumerate(antisym_pairs(n)):
+        anti[p] = _scalar_wedge(grid, 1, st.degree, e.coeffs[fa], st.coeffs[fb]) \
+            - _scalar_wedge(grid, 1, st.degree, e.coeffs[fb], st.coeffs[fa])
+    return dstar + c.kappa_el * FormField(grid, k, ANTISYM, anti)
+
+
+# ---------------------------------------------------------------------------
+# random framed fields with planted zeros
+# ---------------------------------------------------------------------------
+
+def _grid(dim):
+    return GridSpec([(0.0, 1.0)] * dim, [4] * dim)
+
+
+def rand_field(rng, grid, degree, value_type):
+    """Normal or small-integer values (integers cancel exactly), with planted
+    +0.0 and -0.0 entries and, sometimes, a whole zero frame slot."""
+    shape = _coeff_shape(grid, degree, value_type)
+    if rng.random() < 0.5:
+        c = rng.normal(size=shape)
+    else:
+        c = rng.integers(-2, 3, size=shape).astype(float)
+    u = rng.random(shape)
+    c[u < 0.15] = 0.0
+    c[(u >= 0.15) & (u < 0.3)] = -0.0
+    if value_type != SCALAR and rng.random() < 0.3:
+        c[rng.integers(shape[0])] = rng.choice([0.0, -0.0])
+    return FormField(grid, degree, value_type, c)
+
+
+def _same_bytes(got, want):
+    assert got.degree == want.degree and got.value_type == want.value_type
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def _degree_pairs(dim):
+    return [(ka, kb) for ka in range(dim + 1) for kb in range(dim + 1 - ka)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_framed_wedge_matches_loops(dim):
+    rng = np.random.default_rng(100 + dim)
+    grid = _grid(dim)
+    cases = [(ANTISYM, VECTOR, "vector"), (VECTOR, ANTISYM, "vector"),
+             (VECTOR, VECTOR, "vector"), (ANTISYM, ANTISYM, "matrix")]
+    for ka, kb in _degree_pairs(dim):
+        for ta, tb, pairing in cases:
+            for _ in range(3):
+                a = rand_field(rng, grid, ka, ta)
+                b = rand_field(rng, grid, kb, tb)
+                _same_bytes(wedge(a, b, pairing), ref_wedge(a, b, pairing))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_antisym_matmul_matches_loops(dim):
+    rng = np.random.default_rng(200 + dim)
+    grid = _grid(dim)
+    for ka, kb in _degree_pairs(dim):
+        for _ in range(3):
+            a = rand_field(rng, grid, ka, ANTISYM)
+            b = rand_field(rng, grid, kb, ANTISYM)
+            _same_bytes(antisym_matmul(a, b), ref_antisym_matmul(a, b))
+        if 2 * ka <= dim:
+            _same_bytes(antisym_matmul(a, a), ref_antisym_matmul(a, a))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_covariant_derivative_matches_loops(dim):
+    rng = np.random.default_rng(300 + dim)
+    grid = _grid(dim)
+    for degree in range(dim):
+        for value_type in (VECTOR, ANTISYM):
+            for _ in range(3):
+                a = rand_field(rng, grid, degree, value_type)
+                omega = rand_field(rng, grid, 1, ANTISYM)
+                _same_bytes(covariant_exterior_derivative(a, omega),
+                            ref_covariant(a, omega))
+
+
+def test_spin_balance_matches_loops():
+    rng = np.random.default_rng(400)
+    grid = _grid(4)
+    c = Couplings(alpha=1.3, beta=0.7, gamma=0.9)
+    for _ in range(4):
+        e = rand_field(rng, grid, 1, VECTOR)
+        omega = rand_field(rng, grid, 1, ANTISYM)
+        got = el_connection_residual(e, omega, c).field
+        _same_bytes(got, ref_spin_balance(e, omega, c))
