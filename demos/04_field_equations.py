@@ -27,8 +27,7 @@ print(f"curvature term {act.curvature_integral:.4f}, "
 
 # the balance laws need degree-consistent 4-forms: embed and evaluate
 e4, om4 = dg.embed_static_4d(e, omega)
-kw = dict(boundary_margin=0.3, exclude_tubes=[(0, 0, 0.5)],
-          margin_axes=(0, 1, 2))
+kw = dict(boundary_margin=(0.3, 0.3, 0.3, 0.0), exclude_tubes=[(0, 0, 0.5)])
 res_force = dg.el_coframe_residual(e4, om4, couplings, **kw)
 res_spin = dg.el_connection_residual(e4, om4, couplings, **kw)
 print(f"\nforce balance residual (interior rms): {res_force.l2:.3e}")

@@ -30,8 +30,7 @@ empty = dg.u1_flux_balance(src.j1, Box((0.9, 0.9, -0.2), (1.3, 1.3, 0.2)))
 print(f"volume away from the core: {empty:.1e}")
 
 e4, om4 = dg.embed_static_4d(e, omega)
-src4 = dg.u1_sources(e4, om4, couplings, boundary_margin=0.2,
-                     margin_axes=(0, 1, 2))
+src4 = dg.u1_sources(e4, om4, couplings, boundary_margin=(0.2, 0.2, 0.2, 0.0))
 print(f"\nclosedness in the 4D embedding: |d J1| interior rms = "
       f"{src4.dj1.l2} (exactly closed on this grid)")
 print(f"J2 in 4D: degree {src4.j2.degree} form, "

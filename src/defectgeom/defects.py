@@ -196,21 +196,19 @@ def curvature(omega: FormField) -> FormField:
     return exterior_derivative(omega) + antisym_matmul(omega, omega)
 
 
-def burgers_vector(t: FormField, surface, resolution: int = 512,
-                   order: int = 5) -> np.ndarray:
+def burgers_vector(t: FormField, surface, resolution: int = 512) -> np.ndarray:
     """Burgers vector of the torsion flux through a surface, one value per
     frame index."""
     if t.degree != 2 or t.value_type != VECTOR:
         raise ValueError("Burgers extraction needs a frame-vector 2-form")
-    return integrate_surface(t, surface, resolution=resolution, order=order)
+    return integrate_surface(t, surface, resolution=resolution)
 
 
-def frank_angles(r: FormField, surface, resolution: int = 512,
-                 order: int = 5) -> np.ndarray:
+def frank_angles(r: FormField, surface, resolution: int = 512) -> np.ndarray:
     """Frank rotation matrix of the curvature flux through a surface."""
     if r.degree != 2 or r.value_type != ANTISYM:
         raise ValueError("Frank extraction needs a matrix-valued 2-form")
-    return integrate_surface(r, surface, resolution=resolution, order=order)
+    return integrate_surface(r, surface, resolution=resolution)
 
 
 def axial_vector(mat: np.ndarray) -> np.ndarray:

@@ -80,19 +80,20 @@ class Residual:
 
 
 def interior_mask(grid: GridSpec, boundary_margin: float = 0.0,
-                  exclude_tubes=(), margin_axes=None) -> np.ndarray:
+                  exclude_tubes=()) -> np.ndarray:
     """Cell mask excluding a physical boundary margin and z-aligned core tubes.
 
+    boundary_margin: one margin for every axis, or one per axis. Cell centres
+    lie strictly inside the extents, so a margin of 0 keeps every cell along
+    its axis. A 4D embedding takes (m, m, m, 0.0): its thin w axis carries
+    exactly w-independent fields, so the one-sided stencils there are exact
+    and need no margin.
     exclude_tubes: iterables of (x, y, radius) in transverse coordinates.
-    margin_axes limits the boundary margin to the listed axes; embedded thin
-    axes carry exactly w-independent fields, so their one-sided stencils are
-    exact and need no margin.
     """
     mask = np.ones(grid.resolution, bool)
-    axes = range(grid.dim) if margin_axes is None else margin_axes
     margins = (list(boundary_margin) if np.ndim(boundary_margin) > 0
                else [boundary_margin] * grid.dim)
-    for i in axes:
+    for i in range(grid.dim):
         c = grid.axis_centers(i)
         lo, hi = grid.extents[i]
         keep = (c >= lo + margins[i]) & (c <= hi - margins[i])
@@ -113,9 +114,9 @@ def interior_mask(grid: GridSpec, boundary_margin: float = 0.0,
 
 
 def field_norms(f: FormField, boundary_margin: float = 0.0,
-                exclude_tubes=(), margin_axes=None) -> tuple:
+                exclude_tubes=()) -> tuple:
     """(rms, max) of the pointwise component-Euclidean norm over masked cells."""
-    mask = interior_mask(f.grid, boundary_margin, exclude_tubes, margin_axes)
+    mask = interior_mask(f.grid, boundary_margin, exclude_tubes)
     flat = f.coeffs.reshape((-1,) + f.grid.resolution)
     sq = np.zeros(f.grid.resolution)
     for m in range(flat.shape[0]):
@@ -127,8 +128,8 @@ def field_norms(f: FormField, boundary_margin: float = 0.0,
 
 
 def make_residual(f: FormField, boundary_margin: float = 0.0,
-                  exclude_tubes=(), note: str = "", margin_axes=None) -> Residual:
-    l2, linf = field_norms(f, boundary_margin, exclude_tubes, margin_axes)
+                  exclude_tubes=(), note: str = "") -> Residual:
+    l2, linf = field_norms(f, boundary_margin, exclude_tubes)
     return Residual(field=f, l2=l2, linf=linf,
                     interior_only=bool(np.any(np.asarray(boundary_margin) > 0)
                                        or exclude_tubes),
@@ -139,8 +140,9 @@ def make_residual(f: FormField, boundary_margin: float = 0.0,
 # 4D embedding of static configurations
 # ---------------------------------------------------------------------------
 
-def embed_static_4d(e: FormField, omega: FormField, w_cells: int = 4):
-    """Extend a static 3D (coframe, connection) pair to a thin 4D grid.
+def embed_static_4d(e: FormField, omega: FormField):
+    """Extend a static 3D (coframe, connection) pair to a thin 4D grid of
+    four w cells.
 
     Fields become w-independent, e^4 = dw and all new connection blocks
     vanish, so 4D diagnostics see the same geometry with consistent degrees.
@@ -151,11 +153,11 @@ def embed_static_4d(e: FormField, omega: FormField, w_cells: int = 4):
     if g3.dim != 3:
         raise ValueError("embedding expects 3D input fields")
     hw = min(g3.spacing)
-    g4 = GridSpec(tuple(g3.extents) + ((0.0, w_cells * hw),),
-                  tuple(g3.resolution) + (w_cells,))
+    g4 = GridSpec(tuple(g3.extents) + ((0.0, 4 * hw),),
+                  tuple(g3.resolution) + (4,))
 
     def lift(arr3):
-        return np.broadcast_to(arr3[..., None], arr3.shape + (w_cells,)).copy()
+        return np.broadcast_to(arr3[..., None], arr3.shape + (4,)).copy()
 
     e4 = np.zeros(_coeff_shape(g4, 1, VECTOR))
     for a in range(3):
@@ -202,11 +204,10 @@ def action_density(e: FormField, omega: FormField, c: Couplings) -> ActionBreakd
     grid = e.grid
     t = torsion(e, omega)
     r = curvature(omega)
-    term_t = c.alpha * wedge(t, hodge_star(t), pairing="vector")
-    term_r = c.beta * wedge(r, hodge_star(r), pairing="matrix")
+    term_t = c.alpha * wedge(t, hodge_star(t))
+    term_r = c.beta * wedge(r, hodge_star(r))
     if grid.dim >= 4:
-        re = wedge(r, e, pairing="vector")
-        term_m = c.gamma * wedge(e, re, pairing="vector")
+        term_m = c.gamma * wedge(e, wedge(r, e))
         mixed_zero = False
     else:
         term_m = FormField.zeros(grid, grid.dim, SCALAR)
@@ -228,7 +229,7 @@ def action_density(e: FormField, omega: FormField, c: Couplings) -> ActionBreakd
 
 def el_coframe_residual(e: FormField, omega: FormField, c: Couplings,
                         boundary_margin: float = 0.0,
-                        exclude_tubes=(), margin_axes=None) -> Residual:
+                        exclude_tubes=()) -> Residual:
     """Residual of the force balance D(*T_a) + Gamma R_ab ^ e^b."""
     require_coframe(e)
     if e.grid.dim != 4:
@@ -237,14 +238,14 @@ def el_coframe_residual(e: FormField, omega: FormField, c: Couplings,
     t = torsion(e, omega)
     r = curvature(omega)
     res = covariant_exterior_derivative(hodge_star(t), omega) \
-        + c.Gamma * wedge(r, e, pairing="vector")
+        + c.Gamma * wedge(r, e)
     return make_residual(res, boundary_margin, exclude_tubes,
-                         note="D(*T) + Gamma R^e", margin_axes=margin_axes)
+                         note="D(*T) + Gamma R^e")
 
 
 def el_connection_residual(e: FormField, omega: FormField, c: Couplings,
                            boundary_margin: float = 0.0,
-                           exclude_tubes=(), margin_axes=None) -> Residual:
+                           exclude_tubes=()) -> Residual:
     """Residual of the spin balance D(*R_ab) + kappa (e^a ^ *T_b - e^b ^ *T_a)."""
     require_coframe(e)
     if e.grid.dim != 4:
@@ -259,13 +260,12 @@ def el_connection_residual(e: FormField, omega: FormField, c: Couplings,
                        for term in ((p, 1, e, fa, st, fb), (p, -1, e, fb, st, fa))])
     res = dstar + c.kappa_el * anti
     return make_residual(res, boundary_margin, exclude_tubes,
-                         note="D(*R) + kappa (e^*T - e^*T)",
-                         margin_axes=margin_axes)
+                         note="D(*R) + kappa (e^*T - e^*T)")
 
 
 def bianchi_residuals(e: FormField, omega: FormField,
                       boundary_margin: float = 0.0,
-                      exclude_tubes=(), margin_axes=None) -> tuple:
+                      exclude_tubes=()) -> tuple:
     """(D R, D T - R ^ e) residuals; both vanish identically in the continuum."""
     require_coframe(e)
     require_connection(omega)
@@ -273,11 +273,10 @@ def bianchi_residuals(e: FormField, omega: FormField,
     r = curvature(omega)
     dr = covariant_exterior_derivative(r, omega)
     dt = covariant_exterior_derivative(t, omega)
-    second = dt - wedge(r, e, pairing="vector")
-    return (make_residual(dr, boundary_margin, exclude_tubes, note="D R",
-                          margin_axes=margin_axes),
+    second = dt - wedge(r, e)
+    return (make_residual(dr, boundary_margin, exclude_tubes, note="D R"),
             make_residual(second, boundary_margin, exclude_tubes,
-                          note="D T - R^e", margin_axes=margin_axes))
+                          note="D T - R^e"))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +293,7 @@ class U1Sources:
 
 
 def u1_sources(e: FormField, omega: FormField, c: Couplings,
-               boundary_margin: float = 0.0, exclude_tubes=(),
-               margin_axes=None) -> U1Sources:
+               boundary_margin: float = 0.0, exclude_tubes=()) -> U1Sources:
     """Geometric U(1) sources J1 = kappa T^a ^ e_a and J2 = lambda e^R^e.
 
     J1 is a 3-form; J2 is a 4-form that vanishes identically in three
@@ -306,18 +304,16 @@ def u1_sources(e: FormField, omega: FormField, c: Couplings,
     require_connection(omega)
     grid = e.grid
     t = torsion(e, omega)
-    j1 = c.kappa_u1 * wedge(t, e, pairing="vector")
+    j1 = c.kappa_u1 * wedge(t, e)
     if j1.degree < grid.dim:
         dj1 = make_residual(exterior_derivative(j1), boundary_margin,
-                            exclude_tubes, note="d J1",
-                            margin_axes=margin_axes)
+                            exclude_tubes, note="d J1")
     else:
         dj1 = Residual(field=None, l2=0.0, linf=0.0, interior_only=False,
                        note="J1 has top degree; d J1 vanishes identically")
     if grid.dim >= 4:
         r = curvature(omega)
-        j2 = c.lambda_u1 * wedge(e, wedge(r, e, pairing="vector"),
-                                 pairing="vector")
+        j2 = c.lambda_u1 * wedge(e, wedge(r, e))
         dj2 = Residual(field=None, l2=0.0, linf=0.0, interior_only=False,
                        note="J2 has top degree; d J2 vanishes identically")
         return U1Sources(j1, j2, dj1, dj2, j2_identically_zero=False)

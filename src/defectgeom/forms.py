@@ -210,16 +210,6 @@ class FormField:
     def components(self) -> tuple:
         return basis_indices(self.grid.dim, self.degree)
 
-    def component(self, multi_index, frame=None) -> np.ndarray:
-        """Coefficient array of one basis component (and frame slot)."""
-        ci = self.components.index(tuple(multi_index))
-        if self.value_type == SCALAR:
-            if frame is not None:
-                raise ValueError("scalar field has no frame index")
-            return self.coeffs[ci]
-        arr, sign = self._frame_slot(frame)
-        return sign * arr[ci] if sign else np.zeros(self.grid.resolution)
-
     def frame_block(self, a: int, b: int = None) -> np.ndarray:
         """All basis components of one frame slot, sign-reflected for antisym."""
         if self.value_type == SCALAR:
@@ -401,15 +391,15 @@ def _frame_sum(grid, degree: int, value_type: str, terms) -> FormField:
     return FormField(grid, degree, value_type, out.reshape(shape))
 
 
-def wedge(a: FormField, b: FormField, pairing: str = "none") -> FormField:
-    """Pointwise wedge product with caller-chosen frame-index pairing.
+def wedge(a: FormField, b: FormField) -> FormField:
+    """Pointwise wedge product; the operands' value types fix the frame sum.
 
-    pairing:
-      "none"   at most one operand framed; plain graded product
-      "vector" (matrix, vector) -> vector : sum_b M_ab ^ v_b
-               (vector, matrix) -> vector : sum_a v_a ^ M_ab
-               (vector, vector) -> scalar : sum_a v_a ^ w_a
-      "matrix" (matrix, matrix) -> scalar : sum_ab M_ab ^ N_ba
+      scalar with anything -> plain graded product, valued like the other
+      (matrix, vector) -> vector : sum_b M_ab ^ v_b
+      (vector, matrix) -> vector : sum_a v_a ^ M_ab
+      (vector, vector) -> scalar : sum_a v_a ^ w_a
+      (matrix, matrix) -> scalar : sum_ab M_ab ^ N_ba
+    The matrix product of two matrices is `antisym_matmul`.
     """
     if a.grid != b.grid:
         raise ValueError("grid mismatch")
@@ -421,38 +411,27 @@ def wedge(a: FormField, b: FormField, pairing: str = "none") -> FormField:
     def sw(A, B):
         return _scalar_wedge(grid, a.degree, b.degree, A, B)
 
-    if pairing == "none":
-        if a.value_type == SCALAR and b.value_type == SCALAR:
-            return FormField(grid, k, SCALAR, sw(a.coeffs, b.coeffs))
-        if a.value_type == SCALAR and b.value_type != SCALAR:
-            out = np.stack([sw(a.coeffs, b.coeffs[m]) for m in range(b.coeffs.shape[0])])
-            return FormField(grid, k, b.value_type, out)
-        if b.value_type == SCALAR and a.value_type != SCALAR:
-            out = np.stack([sw(a.coeffs[m], b.coeffs) for m in range(a.coeffs.shape[0])])
-            return FormField(grid, k, a.value_type, out)
-        raise ValueError("pairing 'none' needs at most one framed operand")
+    if a.value_type == SCALAR and b.value_type == SCALAR:
+        return FormField(grid, k, SCALAR, sw(a.coeffs, b.coeffs))
+    if a.value_type == SCALAR:
+        out = np.stack([sw(a.coeffs, b.coeffs[m]) for m in range(b.coeffs.shape[0])])
+        return FormField(grid, k, b.value_type, out)
+    if b.value_type == SCALAR:
+        out = np.stack([sw(a.coeffs[m], b.coeffs) for m in range(a.coeffs.shape[0])])
+        return FormField(grid, k, a.value_type, out)
 
     frames = range(grid.dim)
-    if pairing == "vector":
-        if a.value_type == ANTISYM and b.value_type == VECTOR:
-            return _frame_sum(grid, k, VECTOR, [(fa, 1, a, (fa, fb), b, fb)
-                                                for fa in frames for fb in frames])
-        if a.value_type == VECTOR and b.value_type == ANTISYM:
-            return _frame_sum(grid, k, VECTOR, [(fb, 1, a, fa, b, (fa, fb))
-                                                for fb in frames for fa in frames])
-        if a.value_type == VECTOR and b.value_type == VECTOR:
-            return _frame_sum(grid, k, SCALAR, [(0, 1, a, fa, b, fa)
-                                                for fa in frames])
-        raise ValueError("pairing 'vector' needs (matrix,vector), (vector,matrix) "
-                         "or (vector,vector) operands")
-
-    if pairing == "matrix":
-        if a.value_type == ANTISYM and b.value_type == ANTISYM:
-            return _frame_sum(grid, k, SCALAR, [(0, 1, a, (fa, fb), b, (fb, fa))
-                                                for fa in frames for fb in frames])
-        raise ValueError("pairing 'matrix' needs two matrix-valued operands")
-
-    raise ValueError(f"unknown pairing {pairing!r}")
+    if a.value_type == ANTISYM and b.value_type == VECTOR:
+        return _frame_sum(grid, k, VECTOR, [(fa, 1, a, (fa, fb), b, fb)
+                                            for fa in frames for fb in frames])
+    if a.value_type == VECTOR and b.value_type == ANTISYM:
+        return _frame_sum(grid, k, VECTOR, [(fb, 1, a, fa, b, (fa, fb))
+                                            for fb in frames for fa in frames])
+    if a.value_type == VECTOR:
+        return _frame_sum(grid, k, SCALAR, [(0, 1, a, fa, b, fa)
+                                            for fa in frames])
+    return _frame_sum(grid, k, SCALAR, [(0, 1, a, (fa, fb), b, (fb, fa))
+                                        for fa in frames for fb in frames])
 
 
 def antisym_matmul(a: FormField, b: FormField) -> FormField:
@@ -560,7 +539,7 @@ def covariant_exterior_derivative(a: FormField, omega: FormField) -> FormField:
                          "(no frame index to act on)")
     d = exterior_derivative(a)
     if a.value_type == VECTOR:
-        return d + wedge(omega, a, pairing="vector")
+        return d + wedge(omega, a)
     n = a.grid.dim
     # the omega-term, then the a-term, for each (pair, c): this order fixes
     # the rounding of the sum
@@ -576,8 +555,9 @@ def covariant_exterior_derivative(a: FormField, omega: FormField) -> FormField:
 # integration
 # ---------------------------------------------------------------------------
 
-def _quadrature(a: FormField, points, weights, count: int, order: int):
-    """Midpoint sum of a's components against per-component weights.
+def _quadrature(a: FormField, points, weights, count: int):
+    """Midpoint sum of a's quintic-spline components against per-component
+    weights.
 
     weights has shape (ncomp, npts): the surface Jacobian of each basis
     2-form or the loop velocity along each axis. Components whose weight is
@@ -589,7 +569,7 @@ def _quadrature(a: FormField, points, weights, count: int, order: int):
     keep = np.flatnonzero(np.any(weights != 0, axis=1))
     nslots = a.coeffs.size // (ncomp * int(np.prod(a.grid.resolution)))
     rows = (np.arange(nslots)[:, None] * ncomp + keep).ravel()
-    vals = a._sample_rows(points, rows, order)
+    vals = a._sample_rows(points, rows, 5)
     dens = np.einsum("scp,cp->sp", vals.reshape(nslots, len(keep), -1),
                      weights[keep])
     total = dens.sum(axis=-1) / count
@@ -605,8 +585,7 @@ def _quadrature(a: FormField, points, weights, count: int, order: int):
     return mat
 
 
-def integrate_surface(a: FormField, surface, resolution: int = 256,
-                      order: int = 5):
+def integrate_surface(a: FormField, surface, resolution: int = 256):
     """Midpoint-rule integral of a 2-form over a parametrized surface.
 
     The surface provides sample points and analytic tangents on the unit
@@ -627,10 +606,10 @@ def integrate_surface(a: FormField, surface, resolution: int = 256,
     tw = np.asarray(tw)
     jac = np.array([tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]
                     for i, j in a.components])
-    return _quadrature(a, points, jac, nu * nw, order)
+    return _quadrature(a, points, jac, nu * nw)
 
 
-def integrate_loop(a: FormField, loop, resolution: int = 512, order: int = 5):
+def integrate_loop(a: FormField, loop, resolution: int = 512):
     """Midpoint-rule integral of a 1-form over one period of a closed curve."""
     if a.degree != 1:
         raise ValueError("loop integration needs a 1-form")
@@ -640,7 +619,7 @@ def integrate_loop(a: FormField, loop, resolution: int = 512, order: int = 5):
     points, vel = loop.points_and_velocity(t)
     if not np.all(a.grid.contains(points, slack=1e-12)):
         raise ValueError("loop exits grid extents")
-    return _quadrature(a, points, np.asarray(vel).T, resolution, order)
+    return _quadrature(a, points, np.asarray(vel).T, resolution)
 
 
 def grid_integral(a: FormField) -> float:

@@ -167,13 +167,13 @@ class ParametricLoop:
 
     point_fn: callable
     velocity_fn: callable
-    closure_tol: float = 1e-9
 
     def is_closed(self):
+        """x(1) == x(0) within 1e-9 relative to max(1, |x(0)|)."""
         p0 = np.asarray(self.point_fn(np.array([0.0])), float)
         p1 = np.asarray(self.point_fn(np.array([1.0])), float)
         scale = max(1.0, float(np.max(np.abs(p0))))
-        return bool(np.linalg.norm(p1 - p0) <= self.closure_tol * scale)
+        return bool(np.linalg.norm(p1 - p0) <= 1e-9 * scale)
 
     def points_and_velocity(self, t):
         return (np.asarray(self.point_fn(t), float),
@@ -195,9 +195,10 @@ class Box:
         object.__setattr__(self, "lo", tuple(lo))
         object.__setattr__(self, "hi", tuple(hi))
 
-    def inside(self, grid, slack=1e-12):
+    def inside(self, grid):
+        """True if the box lies within the grid extents, up to 1e-12."""
         for i, (lo, hi) in enumerate(grid.extents):
-            if self.lo[i] < lo - slack or self.hi[i] > hi + slack:
+            if self.lo[i] < lo - 1e-12 or self.hi[i] > hi + 1e-12:
                 return False
         return True
 

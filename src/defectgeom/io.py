@@ -76,8 +76,14 @@ def read_field(path) -> FormField:
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise ValueError(f"{path}: not a field file (bad magic)")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode())
+        size = fh.read(8)
+        if len(size) != 8:
+            raise ValueError(f"{path}: file ends inside the header length")
+        (hlen,) = struct.unpack("<Q", size)
+        blob = fh.read(hlen)
+        if len(blob) != hlen:
+            raise ValueError(f"{path}: file ends inside the header")
+        header = json.loads(blob.decode())
         if not isinstance(header, dict):
             raise ValueError(f"{path}: header is not a JSON object")
         for key in HEADER_KEYS:

@@ -104,8 +104,8 @@ def elres_pair(factor, kind, charge=1.0):
     e, om = make_config(grid, spec)
     e4, om4 = dg.embed_static_4d(e, om)
     c = dg.Couplings(1, 1, 0.5)
-    kw = dict(boundary_margin=0.3, exclude_tubes=[(0, 0, 0.5)],
-              margin_axes=(0, 1, 2))
+    kw = dict(boundary_margin=(0.3, 0.3, 0.3, 0.0),
+              exclude_tubes=[(0, 0, 0.5)])
     return (dg.el_coframe_residual(e4, om4, c, **kw),
             dg.el_connection_residual(e4, om4, c, **kw))
 
@@ -132,10 +132,10 @@ def test_el_wedge_residual_comes_from_torsion_term():
     e4, om4 = dg.embed_static_4d(e, om)
     c = dg.Couplings(1, 1, 0.5)
     r4 = dg.curvature(om4)
-    re_term = dg.wedge(r4, e4, pairing="vector")
+    re_term = dg.wedge(r4, e4)
     assert re_term.max_abs() == 0.0
-    res = dg.el_coframe_residual(e4, om4, c, boundary_margin=0.2,
-                                 margin_axes=(0, 1, 2))
+    res = dg.el_coframe_residual(e4, om4, c,
+                                 boundary_margin=(0.2, 0.2, 0.2, 0.0))
     assert res.l2 > 0.0
 
 
@@ -237,7 +237,7 @@ def test_u1_static_4d_closedness_is_exact(screw_fields):
     _, e, om, _ = screw_fields
     e4, om4 = dg.embed_static_4d(e, om)
     src = dg.u1_sources(e4, om4, dg.Couplings(1, 1, 1, kappa_u1=1.0),
-                        boundary_margin=0.2, margin_axes=(0, 1, 2))
+                        boundary_margin=(0.2, 0.2, 0.2, 0.0))
     assert src.dj1 is not None
     assert src.dj1.l2 < 1e-12
     assert src.j2 is not None and src.j2.degree == 4
@@ -274,8 +274,7 @@ def test_u1_closedness_exact_even_off_axis():
     c = dg.Couplings(1, 1, 1, kappa_u1=1.0)
     e3, om3 = rotated_screw_fields(64)
     e4, om4 = dg.embed_static_4d(e3, om3)
-    src = dg.u1_sources(e4, om4, c, boundary_margin=0.3,
-                        margin_axes=(0, 1, 2))
+    src = dg.u1_sources(e4, om4, c, boundary_margin=(0.3, 0.3, 0.3, 0.0))
     assert src.dj1.l2 < 1e-12
     assert src.j1.max_abs() > 0.0
 

@@ -82,13 +82,9 @@ def test_antisym_storage_reflection(g3):
     assert np.array_equal(f.frame_block(1, 0), coeffs[0])
     assert np.array_equal(f.frame_block(0, 1), -coeffs[0])
     assert np.array_equal(f.frame_block(2, 2), np.zeros((3,) + g3.resolution))
-    assert np.array_equal(f.component((0,), (1, 0)), coeffs[0, 0])
-    assert np.array_equal(f.component((0,), (0, 1)), -coeffs[0, 0])
-    assert np.array_equal(f.component((0,), (2, 2)), np.zeros(g3.resolution))
     v = FormField(g3, 1, VECTOR, np.broadcast_to(
         np.arange(9.0).reshape(3, 3, 1, 1, 1), (3, 3) + g3.resolution))
     assert np.array_equal(v.frame_block(2), v.coeffs[2])
-    assert np.array_equal(v.component((1,), 2), np.full(g3.resolution, 7.0))
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +133,6 @@ def test_wedge_errors(g3):
         wedge(a, const_form(other, 1, [1, 0, 0]))
     with pytest.raises(ValueError, match="degree"):
         wedge(a, const_form(g3, 2, [1, 0, 0]))
-    with pytest.raises(ValueError, match="pairing"):
-        wedge(identity_coframe(g3), identity_coframe(g3), pairing="none")
-    with pytest.raises(ValueError, match="pairing"):
-        wedge(a, const_form(g3, 1, [1, 0, 0]), pairing="bogus")
 
 
 # ---------------------------------------------------------------------------

@@ -71,6 +71,17 @@ def test_truncated_payload_rejected(tmp_path, sample_field):
         dg.read_field(path)
 
 
+@pytest.mark.parametrize("cut", [0, 2, 7, 9, 40])
+def test_truncated_header_rejected(tmp_path, sample_field, cut):
+    """A file that ends inside the 8-byte header length or inside the JSON
+    header is a ValueError naming the path, not a struct or JSON error."""
+    path = tmp_path / "field.bin"
+    dg.write_field(path, sample_field)
+    path.write_bytes(path.read_bytes()[:8 + cut])
+    with pytest.raises(ValueError, match="field.bin: file ends inside the header"):
+        dg.read_field(path)
+
+
 def test_csv_export(tmp_path):
     grid = GridSpec([(0, 1.0), (0, 2.0)], [4, 4])
     X, Y = grid.meshgrid()

@@ -313,8 +313,7 @@ def test_smoothing_preserves_charges(grid64):
 # pruned contact scan against the all-pairs scan
 # ---------------------------------------------------------------------------
 
-def _all_pairs_reconnect(lines, threshold, r, e, step=0,
-                         annihilation_tol=1e-12):
+def _all_pairs_reconnect(lines, threshold, r, e, step=0):
     """detect_and_reconnect with every line pair tested by _find_contact."""
     lines = list(lines)
     events = []
@@ -339,7 +338,7 @@ def _all_pairs_reconnect(lines, threshold, r, e, step=0,
                 events.append(event)
                 line_i, line_j = lines[i], lines[j]
                 del lines[j], lines[i]
-                if np.linalg.norm(b_f) > annihilation_tol:
+                if np.linalg.norm(b_f) > 1e-12:
                     nodes = _smooth_once(_dedup_consecutive(np.vstack(
                         [line_i.nodes[: ni + 1], line_j.nodes[nj:]])))
                     if len(nodes) >= 2:

@@ -1,15 +1,21 @@
 """Property tests over random dimensions, degrees and values (Hypothesis).
 
 Graded commutativity of `wedge` must hold bit for bit, for the plain product
-and for every framed pairing: the wedge plan fuses mirrored component pairs,
+and for every framed sum: the wedge plan fuses mirrored component pairs,
 and each framed sum adds its frame terms in the same order for both operand
-orders.
+orders. The double Hodge star is an exact sign flip for every value type.
+A reconnection ledger is exact on dyadic charges and otherwise drifts by at
+most its rounding bound. A zero boundary margin keeps every cell along its
+axis.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from defectgeom.field_theory import interior_mask
 from defectgeom.forms import (
     ANTISYM,
     SCALAR,
@@ -17,8 +23,10 @@ from defectgeom.forms import (
     FormField,
     GridSpec,
     _coeff_shape,
+    hodge_star,
     wedge,
 )
+from defectgeom.network import charge_ledger, reconnect
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None,
                              derandomize=True, database=None)
@@ -64,8 +72,8 @@ def test_scalar_wedge_graded_commutativity(dims, values, seed):
 @given(degree_pairs(), VALUES, st.integers(0, 2**32 - 1))
 def test_vector_vector_graded_commutativity(dims, values, seed):
     v, w, sign = _operands(dims, values, seed, VECTOR, VECTOR)
-    assert np.array_equal(wedge(v, w, "vector").coeffs,
-                          sign * wedge(w, v, "vector").coeffs)
+    assert np.array_equal(wedge(v, w).coeffs,
+                          sign * wedge(w, v).coeffs)
 
 
 @PROPERTY_SETTINGS
@@ -73,13 +81,127 @@ def test_vector_vector_graded_commutativity(dims, values, seed):
 def test_vector_matrix_graded_commutativity(dims, values, seed):
     # sum_a v_a ^ M_ab = (-1)^(ka kb) sum_a M_ab ^ v_a = -(-1)^(ka kb) (M v)_b
     v, m, sign = _operands(dims, values, seed, VECTOR, ANTISYM)
-    assert np.array_equal(wedge(v, m, "vector").coeffs,
-                          -sign * wedge(m, v, "vector").coeffs)
+    assert np.array_equal(wedge(v, m).coeffs,
+                          -sign * wedge(m, v).coeffs)
 
 
 @PROPERTY_SETTINGS
 @given(degree_pairs(), VALUES, st.integers(0, 2**32 - 1))
 def test_matrix_matrix_graded_commutativity(dims, values, seed):
     n, m, sign = _operands(dims, values, seed, ANTISYM, ANTISYM)
-    assert np.array_equal(wedge(n, m, "matrix").coeffs,
-                          sign * wedge(m, n, "matrix").coeffs)
+    assert np.array_equal(wedge(n, m).coeffs,
+                          sign * wedge(m, n).coeffs)
+
+
+# ---------------------------------------------------------------------------
+# Hodge star
+# ---------------------------------------------------------------------------
+
+@st.composite
+def form_shapes(draw):
+    dim = draw(st.integers(2, 4))
+    return dim, draw(st.integers(0, dim)), draw(st.sampled_from(
+        (SCALAR, VECTOR, ANTISYM)))
+
+
+@PROPERTY_SETTINGS
+@given(form_shapes(), VALUES, st.integers(0, 2**32 - 1))
+def test_double_hodge_star_is_exact_sign(shape, values, seed):
+    dim, degree, value_type = shape
+    grid = GridSpec([(0.0, 1.0)] * dim, [4] * dim)
+    pool = np.array(values + [0.0, -0.0])
+    a = _field(grid, degree, value_type, pool, np.random.default_rng(seed))
+    twice = hodge_star(hodge_star(a))
+    assert (twice.degree, twice.value_type) == (degree, value_type)
+    sign = (-1) ** (degree * (dim - degree))
+    assert twice.coeffs.tobytes() == (sign * a.coeffs).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# reconnection ledger
+# ---------------------------------------------------------------------------
+
+# small integers times 2^-10: every sum in a short cascade is representable
+DYADIC = st.integers(-2**12, 2**12).map(lambda m: m * 2.0 ** -10)
+GENERAL = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+
+
+def _cascade(data, value):
+    """Random merge cascade through `reconnect`; `charge_ledger` reads only
+    each line's Burgers vector.
+
+    Returns (ledger before, ledger after, events, abs_mass, roundings):
+    abs_mass is the per-axis sum of |b| over the initial lines and |db| over
+    the events, and roundings counts the float additions made by the merges
+    and by both ledgers.
+    """
+    vec = st.tuples(value, value, value).map(np.array)
+    lines = [SimpleNamespace(burgers=b)
+             for b in data.draw(st.lists(vec, min_size=2, max_size=8))]
+    abs_mass = np.sum([np.abs(l.burgers) for l in lines], axis=0)
+    n_lines = len(lines)
+    before = charge_ledger(lines, [])
+    events = []
+    while len(lines) > 1 and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(lines) - 1))
+        j = data.draw(st.integers(0, len(lines) - 2))
+        j += j >= i
+        delta_b = data.draw(vec)
+        abs_mass = abs_mass + np.abs(delta_b)
+        b_f, event = reconnect(lines[i].burgers, lines[j].burgers, delta_b)
+        events.append(event)
+        lines = [l for k, l in enumerate(lines) if k not in (i, j)]
+        lines.append(SimpleNamespace(burgers=b_f))
+    after = charge_ledger(lines, events)
+    roundings = 2 * len(events) + n_lines + len(lines) + len(events)
+    return before, after, events, abs_mass, roundings
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_ledger_exact_on_dyadic_cascades(data):
+    before, after, events, _, _ = _cascade(data, DYADIC)
+    assert after.tobytes() == before.tobytes()
+    for event in events:
+        assert not np.any(event.balance_defect())
+
+
+@PROPERTY_SETTINGS
+@given(st.data())
+def test_ledger_drift_within_rounding_bound(data):
+    """Each addition rounds by at most 2^-53 of its result, and every
+    partial sum is bounded by the absolute mass up to a factor (1 + 2^-53)^k
+    with k < 40, so the drift stays below roundings * 2^-53 * 2 * abs_mass."""
+    before, after, _, abs_mass, roundings = _cascade(data, GENERAL)
+    assert np.all(np.abs(after - before) <= roundings * 2.0 ** -52 * abs_mass)
+
+
+# ---------------------------------------------------------------------------
+# interior mask
+# ---------------------------------------------------------------------------
+
+@st.composite
+def margin_grids(draw):
+    """Grid of 4-7 cells per axis with widths of one scale, so a margin
+    taken from another axis would drop some but not all of its cells. A
+    margin of at most 0.3 of its axis keeps a centre cell."""
+    dim = draw(st.integers(2, 4))
+    lo = [draw(st.floats(-1e3, 1e3)) for _ in range(dim)]
+    width = [draw(st.floats(0.5, 2.0)) for _ in range(dim)]
+    grid = GridSpec([(l, l + w) for l, w in zip(lo, width)],
+                    [draw(st.integers(4, 7)) for _ in range(dim)])
+    margins = [draw(st.sampled_from((0.0, 0.1, 0.2, 0.3))) * w for w in width]
+    return grid, margins
+
+
+@PROPERTY_SETTINGS
+@given(margin_grids())
+def test_zero_margin_keeps_every_cell_along_its_axis(case):
+    grid, margins = case
+    mask = interior_mask(grid, margins)
+    assert mask.any()
+    for i, m in enumerate(margins):
+        if m == 0.0:
+            assert np.array_equal(mask.all(axis=i), mask.any(axis=i))
+    if not any(margins):
+        assert mask.all()
