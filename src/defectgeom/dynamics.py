@@ -43,7 +43,7 @@ class DislocationLine:
         if np.any(np.linalg.norm(seg, axis=1) == 0):
             raise ValueError("consecutive nodes must be distinct")
         if self.burgers.shape != (3,) or not np.all(np.isfinite(self.burgers)) \
-                or np.linalg.norm(self.burgers) == 0:
+                or not np.any(self.burgers):
             raise ValueError("Burgers vector must be finite and nonzero")
         if not self.mobility > 0:
             raise ValueError("mobility must be positive")

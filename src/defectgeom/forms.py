@@ -82,12 +82,12 @@ class GridSpec:
             v *= h
         return v
 
-    def contains(self, points: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        """Boolean mask of points lying inside the extents (with optional slack)."""
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Boolean mask of points lying inside the extents, up to 1e-12."""
         points = np.asarray(points, float)
         ok = np.ones(points.shape[:-1], bool)
         for i, (lo, hi) in enumerate(self.extents):
-            ok &= (points[..., i] >= lo - slack) & (points[..., i] <= hi + slack)
+            ok &= (points[..., i] >= lo - 1e-12) & (points[..., i] <= hi + 1e-12)
         return ok
 
     def refined(self, factor: int) -> "GridSpec":
@@ -174,7 +174,8 @@ class FormField:
     with ncomp = C(dim, k).
     """
 
-    __slots__ = ("grid", "degree", "value_type", "coeffs", "_spline_cache")
+    __slots__ = ("grid", "degree", "value_type", "coeffs", "_nonzero",
+                 "_spline_cache")
 
     def __init__(self, grid: GridSpec, degree: int, value_type: str, coeffs: np.ndarray):
         if not 0 <= degree <= grid.dim:
@@ -185,9 +186,14 @@ class FormField:
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
         if coeffs.shape != shape:
             raise ValueError(f"coefficient shape {coeffs.shape} != expected {shape}")
-        if not np.all(np.isfinite(coeffs)):
+        # per (frame slot, component) row: min and max propagate NaN and
+        # +-inf, and both are 0 exactly when every entry is +0.0 or -0.0
+        rows = coeffs.reshape(shape[:-grid.dim] + (-1,))
+        lo, hi = rows.min(axis=-1), rows.max(axis=-1)
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
             raise ValueError("non-finite coefficients")
         coeffs.setflags(write=False)
+        self._nonzero = (lo != 0) | (hi != 0)
         self.grid = grid
         self.degree = degree
         self.value_type = value_type
@@ -214,25 +220,26 @@ class FormField:
         """All basis components of one frame slot, sign-reflected for antisym."""
         if self.value_type == SCALAR:
             raise ValueError("frame_block needs a framed field")
-        arr, sign = self._frame_slot(a if self.value_type == VECTOR else (a, b))
+        i, sign = self._frame_slot(a if self.value_type == VECTOR else (a, b))
         if sign == 0:
             return np.zeros(self.coeffs.shape[1:])
-        return arr if sign == 1 else -arr
+        return self.coeffs[i] if sign == 1 else -self.coeffs[i]
 
     def _frame_slot(self, frame):
-        """(stored block, sign) of frame slot a (vector) or (a, b) (antisym).
+        """(stored block index, sign) of frame slot a (vector) or (a, b)
+        (antisym).
 
-        The slot equals sign * block; an antisym diagonal has sign 0 and no
-        block. Only the lower triangle a > b is stored.
+        The slot equals sign * coeffs[index]; an antisym diagonal has sign 0
+        and no index. Only the lower triangle a > b is stored.
         """
         if self.value_type == VECTOR:
-            return self.coeffs[int(frame)], 1
+            return int(frame), 1
         a, b = frame
         if a == b:
             return None, 0
         if a > b:
-            return self.coeffs[a * (a - 1) // 2 + b], 1
-        return self.coeffs[b * (b - 1) // 2 + a], -1
+            return a * (a - 1) // 2 + b, 1
+        return b * (b - 1) // 2 + a, -1
 
     # -- arithmetic (pure, grid/degree/type must match) ----------------------
 
@@ -279,7 +286,8 @@ class FormField:
         rows `rows` at physical points, shape (len(rows),) + points.shape[:-1].
 
         Each row is prefiltered on first use and cached per (order, row), so
-        rows that are never sampled are never filtered.
+        rows that are never sampled are never filtered. An exactly zero row
+        reads +0.0 without a spline, as map_coordinates gives for +-0 data.
         """
         points = np.asarray(points, float)
         if points.shape[-1] != self.grid.dim:
@@ -290,8 +298,11 @@ class FormField:
         for i, h in enumerate(self.grid.spacing):
             idx[i] = (points[..., i] - self.grid.extents[i][0]) / h - 0.5
         flat = self.coeffs.reshape((-1,) + self.grid.resolution)
-        out = np.empty((len(rows),) + points.shape[:-1])
+        nonzero = self._nonzero.ravel()
+        out = np.zeros((len(rows),) + points.shape[:-1])
         for i, m in enumerate(rows):
+            if not nonzero[m]:
+                continue
             key = (order, m)
             if key not in self._spline_cache:
                 self._spline_cache[key] = ndimage.spline_filter(
@@ -371,19 +382,20 @@ def _frame_sum(grid, degree: int, value_type: str, terms) -> FormField:
     sign * (x[x_slot] ^ y[y_slot]) to output frame row `row` (row 0 of a
     scalar result), in term order. Slot reflection signs fold into the term
     sign instead of negating a copy; negation is exact, so the bits equal
-    those of wedging the reflected blocks. Antisym diagonal slots are zero
-    and skipped: adding an exact zero to an accumulator that starts at +0
-    changes no bit.
+    those of wedging the reflected blocks. A term whose slot is an antisym
+    diagonal or an exactly zero block is skipped: its wedge is all +-0, and
+    adding +-0 to an accumulator that starts at +0 changes no bit.
     """
     shape = _coeff_shape(grid, degree, value_type)
     out = np.zeros(shape).reshape((-1,) + shape[-grid.dim - 1:])
     for row, sign, x, x_slot, y, y_slot in terms:
-        xb, xs = x._frame_slot(x_slot)
-        yb, ys = y._frame_slot(y_slot)
+        xi, xs = x._frame_slot(x_slot)
+        yi, ys = y._frame_slot(y_slot)
         sign *= xs * ys
-        if sign == 0:
+        if sign == 0 or not (x._nonzero[xi].any() and y._nonzero[yi].any()):
             continue
-        prod = _scalar_wedge(grid, x.degree, y.degree, xb, yb)
+        prod = _scalar_wedge(grid, x.degree, y.degree, x.coeffs[xi],
+                             y.coeffs[yi])
         if sign > 0:
             out[row] += prod
         else:
@@ -458,7 +470,8 @@ def exterior_derivative(a: FormField) -> FormField:
     """Finite-difference exterior derivative d.
 
     Exact for per-axis polynomial coefficients of degree <= 2 in the interior.
-    Raising degree above the grid dimension is misuse and raises.
+    Raising degree above the grid dimension is misuse and raises. Exactly
+    zero source rows are not differentiated; their gradient adds only +-0.
     """
     grid = a.grid
     if a.degree == grid.dim:
@@ -468,19 +481,18 @@ def exterior_derivative(a: FormField) -> FormField:
     in_idx = {I: i for i, I in enumerate(basis_indices(grid.dim, k))}
     out_components = basis_indices(grid.dim, k + 1)
     flat = a.coeffs.reshape((-1, len(in_idx)) + grid.resolution)
-    nlead = flat.shape[0]
-    out = np.zeros((nlead, len(out_components)) + grid.resolution)
+    nonzero = a._nonzero.reshape(flat.shape[:2])
+    out = np.zeros((flat.shape[0], len(out_components)) + grid.resolution)
     h = grid.spacing
     for io, K in enumerate(out_components):
         for pos, j in enumerate(K):
-            rest = K[:pos] + K[pos + 1:]
-            sign = (-1) ** pos
-            src = flat[:, in_idx[rest]]
-            grad = np.gradient(src, h[j], axis=1 + j, edge_order=1)
-            if sign == 1:
-                out[:, io] += grad
-            else:
-                out[:, io] -= grad
+            ci = in_idx[K[:pos] + K[pos + 1:]]
+            for s in np.flatnonzero(nonzero[:, ci]):
+                grad = np.gradient(flat[s, ci], h[j], axis=j, edge_order=1)
+                if pos % 2 == 0:
+                    out[s, io] += grad
+                else:
+                    out[s, io] -= grad
     shape = _coeff_shape(grid, k + 1, a.value_type)
     return FormField(grid, k + 1, a.value_type, out.reshape(shape))
 
@@ -490,7 +502,7 @@ def hodge_star(a: FormField) -> FormField:
     grid = a.grid
     table = _hodge_table(grid.dim, a.degree)
     flat = a.coeffs.reshape((-1, len(table)) + grid.resolution)
-    out = np.zeros_like(flat)
+    out = np.empty_like(flat)  # the table is a bijection: every slot is written
     for ii, (io, sign) in enumerate(table):
         out[:, io] = sign * flat[:, ii]
     shape = _coeff_shape(grid, grid.dim - a.degree, a.value_type)
@@ -600,7 +612,7 @@ def integrate_surface(a: FormField, surface, resolution: int = 256):
     w = (np.arange(nw) + 0.5) / nw
     U, W = np.meshgrid(u, w, indexing="ij")
     points, tu, tw = surface.points_and_tangents(U.ravel(), W.ravel())
-    if not np.all(a.grid.contains(points, slack=1e-12)):
+    if not np.all(a.grid.contains(points)):
         raise ValueError("surface exits grid extents")
     tu = np.asarray(tu)
     tw = np.asarray(tw)
@@ -617,7 +629,7 @@ def integrate_loop(a: FormField, loop, resolution: int = 512):
         raise ValueError("curve is not closed")
     t = (np.arange(resolution) + 0.5) / resolution
     points, vel = loop.points_and_velocity(t)
-    if not np.all(a.grid.contains(points, slack=1e-12)):
+    if not np.all(a.grid.contains(points)):
         raise ValueError("loop exits grid extents")
     return _quadrature(a, points, np.asarray(vel).T, resolution)
 

@@ -162,6 +162,13 @@ def test_line_validation():
                         np.array([1.0, 0, 0]), closed=True)
 
 
+def test_line_accepts_subnormal_burgers():
+    """A subnormal Burgers vector is nonzero although its norm underflows."""
+    for b in ([0.0, 0.0, 1.1e-308], [5e-324, 0.0, -0.0]):
+        line = DislocationLine(np.array([[0, 0, 0], [0, 0, 1.0]]), np.array(b))
+        assert np.array_equal(line.burgers, b)
+
+
 def test_line_tangents():
     line = straight_line()
     t = line.tangents()

@@ -75,6 +75,18 @@ def test_field_validation(g3):
         f.coeffs[0, 0, 0, 0, 0] = 1.0  # immutable
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficients_rejected(g3, bad):
+    """A check of only the row minima would miss +inf, one of only the
+    maxima -inf; NaN must fail whatever the rest of its row holds."""
+    for value_type, lead in ((SCALAR, (3,)), (VECTOR, (3, 3))):
+        for fill in (0.0, -1.0, 1.0):
+            coeffs = np.full(lead + g3.resolution, fill)
+            coeffs.reshape(-1)[-1] = bad
+            with pytest.raises(ValueError, match="^non-finite coefficients$"):
+                FormField(g3, 1, value_type, coeffs)
+
+
 def test_antisym_storage_reflection(g3):
     coeffs = np.zeros((3, 3) + g3.resolution)
     coeffs[antisym_pairs(3).index((1, 0)), 0] = 2.0

@@ -6,10 +6,15 @@ signed frame-slot helper. The reference below is the explicit frame-index
 loop each of them used before: wedge the sign-reflected blocks
 (`_ref_block` negates a copy) and add in loop order. Results are compared
 with `tobytes()`, so even the sign of a zero must agree.
+
+The kernels skip exact-zero (+0.0 or -0.0) frame blocks, source rows and
+sample rows. The references never skip: they wedge every block,
+differentiate every row in one stacked gradient and spline every row.
 """
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from defectgeom.field_theory import Couplings, el_connection_residual
 from defectgeom.forms import (
@@ -33,6 +38,25 @@ from defectgeom.forms import (
 # ---------------------------------------------------------------------------
 # reference: the explicit frame-index loops
 # ---------------------------------------------------------------------------
+
+def ref_exterior_derivative(a):
+    """d with every source row differentiated, one gradient per component."""
+    grid = a.grid
+    k = a.degree
+    in_idx = {I: i for i, I in enumerate(basis_indices(grid.dim, k))}
+    out_components = basis_indices(grid.dim, k + 1)
+    flat = a.coeffs.reshape((-1, len(in_idx)) + grid.resolution)
+    out = np.zeros((flat.shape[0], len(out_components)) + grid.resolution)
+    for io, K in enumerate(out_components):
+        for pos, j in enumerate(K):
+            grad = np.gradient(flat[:, in_idx[K[:pos] + K[pos + 1:]]],
+                               grid.spacing[j], axis=1 + j, edge_order=1)
+            if pos % 2 == 0:
+                out[:, io] += grad
+            else:
+                out[:, io] -= grad
+    return FormField(grid, k + 1, a.value_type,
+                     out.reshape(_coeff_shape(grid, k + 1, a.value_type)))
 
 def _ref_block(f, a, b=None):
     """Frame slot read straight from storage, reflected antisym as a copy."""
@@ -99,7 +123,7 @@ def ref_antisym_matmul(a, b):
 
 
 def ref_covariant(a, omega):
-    d = exterior_derivative(a)
+    d = ref_exterior_derivative(a)
     if a.value_type == VECTOR:
         return d + ref_wedge(omega, a)
     grid = a.grid
@@ -121,7 +145,7 @@ def ref_spin_balance(e, omega, c):
     """Field of the spin-balance residual D(*R) + kappa (e^*T - e^*T)."""
     grid = e.grid
     t = ref_covariant(e, omega)
-    r = exterior_derivative(omega) + ref_antisym_matmul(omega, omega)
+    r = ref_exterior_derivative(omega) + ref_antisym_matmul(omega, omega)
     dstar = ref_covariant(hodge_star(r), omega)
     st = hodge_star(t)
     n = grid.dim
@@ -154,6 +178,25 @@ def rand_field(rng, grid, degree, value_type):
     c[(u >= 0.15) & (u < 0.3)] = -0.0
     if value_type != SCALAR and rng.random() < 0.3:
         c[rng.integers(shape[0])] = rng.choice([0.0, -0.0])
+    return FormField(grid, degree, value_type, c)
+
+
+def planted_field(rng, grid, degree, value_type):
+    """rand_field with exact-zero rows planted where the kernels skip them:
+    a whole +0.0 or -0.0 frame slot, and, among the other (frame slot,
+    component) rows, one all +0.0, one all -0.0 and one of only negative
+    values (nonzero, though its maximum is below 0)."""
+    c = np.array(rand_field(rng, grid, degree, value_type).coeffs)
+    lead = c.shape[:c.ndim - grid.dim]
+    rows = c.reshape((-1,) + grid.resolution)
+    order = rng.permutation(len(rows))
+    if value_type != SCALAR and lead[0] > 1:
+        slot = rng.integers(lead[0])
+        c[slot] = rng.choice([0.0, -0.0])
+        order = order[order // lead[1] != slot]
+    fills = (0.0, -0.0, -0.5 - rng.random(grid.resolution))
+    for m, fill in zip(order, fills):
+        rows[m] = fill
     return FormField(grid, degree, value_type, c)
 
 
@@ -215,3 +258,51 @@ def test_spin_balance_matches_loops():
         omega = rand_field(rng, grid, 1, ANTISYM)
         got = el_connection_residual(e, omega, c).field
         _same_bytes(got, ref_spin_balance(e, omega, c))
+
+
+# ---------------------------------------------------------------------------
+# exact-zero skipping against the unskipped references
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_zero_block_skips_match_unskipped_references(dim):
+    rng = np.random.default_rng(600 + dim)
+    grid = _grid(dim)
+    for ka, kb in _degree_pairs(dim):
+        for ta, tb in [(ANTISYM, VECTOR), (VECTOR, ANTISYM), (VECTOR, VECTOR),
+                       (ANTISYM, ANTISYM)]:
+            a = planted_field(rng, grid, ka, ta)
+            b = planted_field(rng, grid, kb, tb)
+            assert not (a._nonzero.all() or b._nonzero.all())
+            _same_bytes(wedge(a, b), ref_wedge(a, b))
+            if ta == tb == ANTISYM:
+                _same_bytes(antisym_matmul(a, b), ref_antisym_matmul(a, b))
+    for degree in range(dim):
+        for value_type in (SCALAR, VECTOR, ANTISYM):
+            a = planted_field(rng, grid, degree, value_type)
+            _same_bytes(exterior_derivative(a), ref_exterior_derivative(a))
+            if value_type != SCALAR:
+                omega = planted_field(rng, grid, 1, ANTISYM)
+                _same_bytes(covariant_exterior_derivative(a, omega),
+                            ref_covariant(a, omega))
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_zero_sample_rows_match_unskipped_splines(order):
+    rng = np.random.default_rng(700 + order)
+    grid = GridSpec([(0.0, 1.0), (-1.0, 0.5), (0.0, 2.0)], [7, 6, 8])
+    lo = np.array([e[0] for e in grid.extents])
+    hi = np.array([e[1] for e in grid.extents])
+    points = np.concatenate([rng.uniform(lo, hi, size=(40, 3)), [lo, hi]])
+    idx = ((points - lo) / grid.spacing - 0.5).T
+    for value_type in (VECTOR, ANTISYM):
+        f = planted_field(rng, grid, 2, value_type)
+        flat = f.coeffs.reshape((-1,) + grid.resolution)
+        want = np.stack([ndimage.map_coordinates(
+            ndimage.spline_filter(row, order=order, mode="mirror"), idx,
+            order=order, mode="mirror", prefilter=False) for row in flat])
+        zero = ~f._nonzero.ravel()
+        # splines of +-0 data read +0.0, which the skipped rows write
+        assert zero.any() and not np.signbit(want[zero]).any()
+        rows = np.arange(len(flat))
+        assert f._sample_rows(points, rows, order).tobytes() == want.tobytes()
