@@ -276,6 +276,10 @@ class FormField:
 
         Returns an array of shape coeffs.shape[:-dim] + points.shape[:-1].
         Order 5 needs at least 6 cells per axis; it falls back to 3 below that.
+        A coefficient row that is exactly invariant along some axes, such as
+        every row of a straight line defect along z, is splined in the lower
+        dimension of the other axes: the same values up to rounding, from
+        6^2 instead of 6^3 quintic coefficients per point.
         """
         lead = self.coeffs.shape[: self.coeffs.ndim - self.grid.dim]
         out = self._sample_rows(points, range(int(np.prod(lead))), order)
@@ -288,6 +292,10 @@ class FormField:
         Each row is prefiltered on first use and cached per (order, row), so
         rows that are never sampled are never filtered. An exactly zero row
         reads +0.0 without a spline, as map_coordinates gives for +-0 data.
+        A row that is exactly invariant along some axes is splined on one
+        slice over the other axes (`_invariant_slice`), which is the full
+        spline up to rounding; a row invariant along every axis reads its
+        value.
         """
         points = np.asarray(points, float)
         if points.shape[-1] != self.grid.dim:
@@ -305,11 +313,14 @@ class FormField:
                 continue
             key = (order, m)
             if key not in self._spline_cache:
-                self._spline_cache[key] = ndimage.spline_filter(
-                    flat[m], order=order, mode="mirror") if order > 1 else flat[m]
-            out[i] = ndimage.map_coordinates(self._spline_cache[key], idx,
-                                             order=order, mode="mirror",
-                                             prefilter=False)
+                axes, row = _invariant_slice(flat[m])
+                if axes and order > 1:
+                    row = ndimage.spline_filter(row, order=order, mode="mirror")
+                self._spline_cache[key] = (axes, row)
+            axes, spline = self._spline_cache[key]
+            out[i] = ndimage.map_coordinates(spline, idx[axes], order=order,
+                                             mode="mirror", prefilter=False) \
+                if axes else spline
         return out
 
     def max_abs(self) -> float:
@@ -325,6 +336,23 @@ def _coeff_shape(grid: GridSpec, degree: int, value_type: str) -> tuple:
     else:
         lead = (grid.dim * (grid.dim - 1) // 2, ncomp)
     return lead + grid.resolution
+
+
+def _invariant_slice(row: np.ndarray):
+    """(axes, slice) of an array: the axes along which it varies, and the
+    array indexed at 0 along every other axis.
+
+    An axis is dropped only if np.diff of the float64 bits is 0 along it, so
+    the array is the slice broadcast back bit for bit; +0.0 and -0.0 differ.
+    """
+    bits = row.view(np.uint64)
+    index = [slice(None)] * row.ndim
+    for ax in reversed(range(row.ndim)):  # dropping later axes keeps ax
+        if not np.diff(bits[tuple(index)], axis=ax).any():
+            index[ax] = 0
+    index = tuple(index)
+    return [ax for ax, i in enumerate(index) if isinstance(i, slice)], \
+        row[index]
 
 
 def identity_coframe(grid: GridSpec) -> FormField:

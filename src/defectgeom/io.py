@@ -25,6 +25,7 @@ from .forms import (
     FormField,
     GridSpec,
     _coeff_shape,
+    _invariant_slice,
     antisym_pairs,
     basis_indices,
 )
@@ -110,27 +111,43 @@ def read_field(path) -> FormField:
 def write_csv(path, field: FormField) -> None:
     """One row per grid point: coordinates, then one column per component.
 
-    Values are written with %.17g, which round-trips float64 exactly. Rows
-    are formatted CSV_BLOCK_ROWS at a time with one %-template per block.
+    Values are written with %.17g, which round-trips float64 exactly, and
+    each value is formatted once where its column repeats it. A column whose
+    float64 bits are all equal is literal text in the row template (%.17g of
+    a finite float holds no '%'). A column that is bit-invariant along some
+    axes, such as a coordinate, is formatted on one slice over the other
+    axes and indexed per row. The remaining columns are formatted per value.
+    Rows are written CSV_BLOCK_ROWS at a time with one %-template per block.
     """
     grid = field.grid
-    axes = [grid.axis_centers(i) for i in range(grid.dim)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    comps = basis_indices(grid.dim, field.degree)
-    flabels = frame_labels(field)
     columns = [AXIS_NAMES[i] for i in range(grid.dim)]
-    arrays = [m.ravel() for m in mesh]
-    flat = field.coeffs.reshape((-1,) + grid.resolution)
-    m = 0
-    for fl in flabels:
-        for comp in comps:
+    parts = [([i], grid.axis_centers(i)) for i in range(grid.dim)]
+    for fl in frame_labels(field):
+        for comp in basis_indices(grid.dim, field.degree):
             name = component_label(comp)
             columns.append(f"{fl}_{name}" if fl else name)
-            arrays.append(flat[m].ravel())
-            m += 1
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
+    flat = field.coeffs.reshape((-1,) + grid.resolution)
+    parts += [_invariant_slice(values) for values in flat]
+    cells, sources = [], []
+    for axes, values in parts:
+        if not axes:
+            cells.append("%.17g" % float(values))
+        elif len(axes) < grid.dim:
+            cells.append("%s")
+            text = ["%.17g" % v for v in values.ravel().tolist()]
+            sources.append((axes, np.array(text, object).reshape(values.shape)))
+        else:  # formatted per block, so its strings are never all held
+            cells.append("%.17g")
+            sources.append((None, values.ravel()))
+    row = ",".join(cells) + "\n"
+    size = flat[0].size
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
-        for lo in range(0, arrays[0].size, CSV_BLOCK_ROWS):
-            block = np.column_stack([a[lo:lo + CSV_BLOCK_ROWS] for a in arrays])
-            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
+        for lo in range(0, size, CSV_BLOCK_ROWS):
+            hi = min(lo + CSV_BLOCK_ROWS, size)
+            index = np.unravel_index(np.arange(lo, hi), grid.resolution)
+            block = np.empty((hi - lo, len(sources)), object)
+            for j, (axes, values) in enumerate(sources):
+                block[:, j] = values[lo:hi] if axes is None \
+                    else values[tuple(index[ax] for ax in axes)]
+            fh.write((row * (hi - lo)) % tuple(block.ravel().tolist()))

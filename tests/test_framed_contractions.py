@@ -10,6 +10,11 @@ with `tobytes()`, so even the sign of a zero must agree.
 The kernels skip exact-zero (+0.0 or -0.0) frame blocks, source rows and
 sample rows. The references never skip: they wedge every block,
 differentiate every row in one stacked gradient and spline every row.
+
+Sample rows that are exactly invariant along some axes are splined on a
+slice over the other axes. That moves values at rounding level, so those
+rows are held to a bound against the full splines; a row one ulp away from
+invariance takes the full spline and is compared byte for byte.
 """
 
 import numpy as np
@@ -306,3 +311,79 @@ def test_zero_sample_rows_match_unskipped_splines(order):
         assert zero.any() and not np.signbit(want[zero]).any()
         rows = np.arange(len(flat))
         assert f._sample_rows(points, rows, order).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# invariant-axis splines against the full-dimensional splines
+# ---------------------------------------------------------------------------
+
+def _spline_setup(rng):
+    grid = GridSpec([(0.0, 1.0), (-1.0, 0.5), (0.0, 2.0)], [7, 6, 8])
+    lo = np.array([e[0] for e in grid.extents])
+    hi = np.array([e[1] for e in grid.extents])
+    points = np.concatenate([rng.uniform(lo, hi, size=(40, 3)), [lo, hi]])
+    idx = ((points - lo) / grid.spacing - 0.5).T
+    return grid, points, idx
+
+
+def _invariant_rows(rng, grid):
+    """Vector 1-form rows in turn invariant along z, along x and z, and
+    along every axis (a nonzero constant), with magnitudes 1e-3 to 1e3."""
+    nx, ny, _ = grid.resolution
+    c = np.empty(_coeff_shape(grid, 1, VECTOR))
+    rows = c.reshape((-1,) + grid.resolution)
+    for m in range(len(rows)):
+        shape = ((nx, ny, 1), (1, ny, 1), (1, 1, 1))[m % 3]
+        rows[m] = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4)
+    return c, rows
+
+
+def _full_splines(rows, idx, order):
+    return np.stack([ndimage.map_coordinates(
+        ndimage.spline_filter(row, order=order, mode="mirror"), idx,
+        order=order, mode="mirror", prefilter=False) for row in rows])
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_invariant_sample_rows_match_full_splines(order):
+    """Rows invariant along z, or along x and z, are splined on the slice of
+    their other axes and stay within 64 eps max|row| of the 3D spline."""
+    rng = np.random.default_rng(800 + order)
+    grid, points, idx = _spline_setup(rng)
+    c, rows = _invariant_rows(rng, grid)
+    f = FormField(grid, 1, VECTOR, c)
+    got = f._sample_rows(points, np.arange(len(rows)), order)
+    want = _full_splines(rows, idx, order)
+    assert [f._spline_cache[(order, m)][0] for m in range(len(rows))] \
+        == [[0, 1], [1], []] * 3
+    eps = np.finfo(float).eps
+    for g, w, row in zip(got, want, rows):
+        assert np.max(np.abs(g - w)) <= 64 * eps * np.max(np.abs(row))
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_constant_sample_row_reads_its_value(order):
+    rng = np.random.default_rng(810 + order)
+    grid, points, _ = _spline_setup(rng)
+    c, rows = _invariant_rows(rng, grid)
+    f = FormField(grid, 1, VECTOR, c)
+    got = f._sample_rows(points, [2, 5, 8], order)
+    assert got.tobytes() == np.repeat(rows[[2, 5, 8], 0, 0, :1],
+                                      len(points), axis=1).tobytes()
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_one_ulp_from_invariant_keeps_full_splines(order):
+    """One z cell moved by one ulp makes a row vary along z: it is splined
+    over every axis and matches the 3D spline byte for byte."""
+    rng = np.random.default_rng(820 + order)
+    grid, points, idx = _spline_setup(rng)
+    c, rows = _invariant_rows(rng, grid)
+    for row in rows:
+        cell = tuple(rng.integers(grid.resolution))
+        row[cell] = np.nextafter(row[cell], np.inf)
+    f = FormField(grid, 1, VECTOR, c)
+    got = f._sample_rows(points, np.arange(len(rows)), order)
+    assert all(f._spline_cache[(order, m)][0] == [0, 1, 2]
+               for m in range(len(rows)))
+    assert got.tobytes() == _full_splines(rows, idx, order).tobytes()

@@ -159,3 +159,44 @@ def test_header_dim_mismatch_rejected(tmp_path, sample_field):
                                              resolution=[4, 6, 5, 4]))
     with pytest.raises(ValueError, match="4 resolutions"):
         dg.read_field(path)
+
+
+def _per_value_csv(field):
+    """The CSV text of the per-value f"{v:.17g}" formatter."""
+    grid = field.grid
+    mesh = [m.ravel() for m in grid.meshgrid()]
+    block = np.column_stack(mesh + list(field.coeffs.reshape(9, -1)))
+    header = "x,y,z," + ",".join(f"a{a}_d{ax}" for a in (1, 2, 3)
+                                 for ax in "xyz")
+    return header + "\n" + "".join(
+        ",".join(f"{v:.17g}" for v in row) + "\n" for row in block)
+
+
+@pytest.mark.parametrize("resolution", [(4, 5, 6), (16, 16, 16), (20, 21, 13)])
+def test_csv_repeated_values_match_per_value_formatter(tmp_path, resolution):
+    """Constant columns become template text and invariant columns are
+    formatted once per slice, with the bytes of the per-value formatter:
+    constant +0.0, -0.0, 1.0 and 5e-324 columns, a mixed +0.0/-0.0 column
+    (not constant: the bits differ), a column constant but for its last
+    cell, columns invariant along z and along x and y, in fields of one
+    block, exactly one full block and several blocks."""
+    grid = GridSpec([(0, 1.0), (-2.0, 3.0), (0, 0.1)], resolution)
+    rng = np.random.default_rng(11)
+    nx, ny, nz = resolution
+    c = np.empty((3, 3) + resolution)
+    c[0, 0], c[0, 1], c[0, 2], c[1, 0] = 0.0, -0.0, 1.0, 5e-324
+    c[1, 1] = rng.choice([0.0, -0.0], size=resolution)
+    c[1, 1].flat[:2] = 0.0, -0.0
+    c[1, 2] = 1.0
+    c[1, 2].flat[-1] = np.nextafter(1.0, 2.0)
+    c[2, 0] = rng.normal(size=(nx, ny, 1))
+    c[2, 1] = rng.normal(size=(1, 1, nz)) * 1e-300
+    c[2, 2] = rng.normal(size=resolution)
+    field = FormField(grid, 1, "vector", c)
+    path = tmp_path / "f.csv"
+    dg.write_csv(path, field)
+    got = path.read_text().split("\n")
+    want = _per_value_csv(field).split("\n")
+    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
+    assert not bad and len(got) == len(want), \
+        f"line {bad[:1]}: {got[bad[0]] if bad else len(got)!r}"
