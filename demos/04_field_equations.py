@@ -14,10 +14,9 @@ print(f"couplings: Gamma = gamma/alpha = {couplings.Gamma}, "
 grid = GridSpec([(-1.6, 1.6), (-1.6, 1.6), (-0.4, 0.4)], [128, 128, 8])
 screw = dg.DefectConfiguration(grid,
                                [dg.DefectSpec("screw", (0, 0), 1.0, 0.1)])
-e = dg.build_coframe(screw)
-omega = dg.build_connection(screw)
+fields = dg.CartanFields(dg.build_coframe(screw), dg.build_connection(screw))
 
-act = dg.action_density(e, omega, couplings)
+act = dg.action_density(fields, couplings)
 self_energy = 1.0 / (4 * np.pi * 0.1 ** 2) * 0.8
 print(f"\nscrew action: torsion term {act.torsion_integral:.4f} "
       f"(analytic core self-energy {self_energy:.4f})")
@@ -26,17 +25,17 @@ print(f"curvature term {act.curvature_integral:.4f}, "
       f"(identically zero in 3D: {act.mixed_identically_zero})")
 
 # the balance laws need degree-consistent 4-forms: embed and evaluate
-e4, om4 = dg.embed_static_4d(e, omega)
+fields4 = dg.embed_static_4d(fields)
 kw = dict(boundary_margin=(0.3, 0.3, 0.3, 0.0), exclude_tubes=[(0, 0, 0.5)])
-res_force = dg.el_coframe_residual(e4, om4, couplings, **kw)
-res_spin = dg.el_connection_residual(e4, om4, couplings, **kw)
+res_force = dg.el_coframe_residual(fields4, couplings, **kw)
+res_spin = dg.el_connection_residual(fields4, couplings, **kw)
 print(f"\nforce balance residual (interior rms): {res_force.l2:.3e}")
 print(f"spin balance residual  (interior rms): {res_spin.l2:.3e}")
 
 empty = dg.DefectConfiguration(grid, [])
-e0, om0 = dg.build_coframe(empty), dg.build_connection(empty)
-e04, om04 = dg.embed_static_4d(e0, om0)
-z_force = dg.el_coframe_residual(e04, om04, couplings)
+empty4 = dg.embed_static_4d(
+    dg.CartanFields(dg.build_coframe(empty), dg.build_connection(empty)))
+z_force = dg.el_coframe_residual(empty4, couplings)
 print(f"defect-free force balance residual: {z_force.l2} (exact zero)")
 
 print("\nconservation laws for the wedge+screw superposition:")
@@ -47,7 +46,7 @@ for factor in (1, 2):
         g, [dg.DefectSpec("screw", (-0.5, 0), 1.0, 0.05),
             dg.DefectSpec("wedge", (0.5, 0), 0.1, 0.05)])
     dr, dte = dg.bianchi_residuals(
-        dg.build_coframe(cfg), dg.build_connection(cfg),
+        dg.CartanFields(dg.build_coframe(cfg), dg.build_connection(cfg)),
         boundary_margin=[0.15, 0.15, 0.3],
         exclude_tubes=[(-0.5, 0, 0.25), (0.5, 0, 0.25)])
     print(f"  resolution x{factor}: |D R| = {dr.l2}, "

@@ -11,9 +11,8 @@ kappa, b, eps = 1.5, 1.0, 0.05
 couplings = dg.Couplings(1.0, 1.0, 0.5, kappa_u1=kappa, lambda_u1=1.0)
 
 screw = dg.DefectConfiguration(grid, [dg.DefectSpec("screw", (0, 0), b, eps)])
-e = dg.build_coframe(screw)
-omega = dg.build_connection(screw)
-src = dg.u1_sources(e, omega, couplings)
+fields = dg.CartanFields(dg.build_coframe(screw), dg.build_connection(screw))
+src = dg.u1_sources(fields, couplings)
 
 print(f"J1 = kappa T^a ^ e_a: degree {src.j1.degree} form, "
       f"peak density {src.j1.max_abs():.2f}")
@@ -29,8 +28,8 @@ for z0, z1 in ((-0.4, 0.4), (0.0, 0.4), (-0.2, 0.1)):
 empty = dg.u1_flux_balance(src.j1, Box((0.9, 0.9, -0.2), (1.3, 1.3, 0.2)))
 print(f"volume away from the core: {empty:.1e}")
 
-e4, om4 = dg.embed_static_4d(e, omega)
-src4 = dg.u1_sources(e4, om4, couplings, boundary_margin=(0.2, 0.2, 0.2, 0.0))
+src4 = dg.u1_sources(dg.embed_static_4d(fields), couplings,
+                     boundary_margin=(0.2, 0.2, 0.2, 0.0))
 print(f"\nclosedness in the 4D embedding: |d J1| interior rms = "
       f"{src4.dj1.l2} (exactly closed on this grid)")
 print(f"J2 in 4D: degree {src4.j2.degree} form, "

@@ -30,6 +30,7 @@ from .forms import (
 )
 from .geometry import Box, Circle, Disk, ParametricLoop, ParametricSurface, PlanarPatch, box_integral
 from .defects import (
+    CartanFields,
     DefectConfiguration,
     DefectSpec,
     axial_vector,

@@ -20,13 +20,13 @@ from . import __version__
 from .defects import (
     EDGE,
     SCREW,
+    CartanFields,
     axial_vector,
     build_coframe,
     build_connection,
     burgers_vector,
     curvature,
     frank_angles,
-    torsion,
 )
 from .dynamics import _euler_step, magnus_force, transversality_defect
 from .field_theory import (
@@ -101,17 +101,18 @@ def _mid_z(grid):
     return 0.5 * (lo + hi)
 
 
+def _cartan_fields(config) -> CartanFields:
+    return CartanFields(build_coframe(config), build_connection(config))
+
+
 def cmd_fields(scenario: Scenario, out: Path, scale: int) -> int:
-    config = scenario.configuration(scale)
-    grid = config.grid
-    e = build_coframe(config)
-    omega = build_connection(config)
-    t = torsion(e, omega)
-    r = curvature(omega)
-    perturbation = e - identity_coframe(grid)
-    for name, field in (("coframe", e), ("coframe_perturbation", perturbation),
-                        ("connection", omega), ("torsion", t),
-                        ("curvature", r)):
+    f = _cartan_fields(scenario.configuration(scale))
+    grid = f.e.grid
+    perturbation = f.e - identity_coframe(grid)
+    for name, field in (("coframe", f.e),
+                        ("coframe_perturbation", perturbation),
+                        ("connection", f.omega), ("torsion", f.t),
+                        ("curvature", f.r)):
         write_field(out / f"{name}.field", field)
         write_csv(out / f"{name}.csv", field)
     if scenario.defects:
@@ -138,22 +139,18 @@ def _write_ray_profile(path, perturbation, scenario, grid):
 
 
 def cmd_charges(scenario: Scenario, out: Path, scale: int) -> int:
-    config = scenario.configuration(scale)
-    grid = config.grid
-    e = build_coframe(config)
-    omega = build_connection(config)
-    t = torsion(e, omega)
-    r = curvature(omega)
+    f = _cartan_fields(scenario.configuration(scale))
+    grid = f.e.grid
     zmid = _mid_z(grid)
     records = []
     for d in scenario.defects:
         radius = _measuring_radius(scenario, grid, around=d)
         center = (d.position[0], d.position[1], zmid)
         disk = Disk(center, radius)
-        b = burgers_vector(t, disk)
-        frank = frank_angles(r, disk)
+        b = burgers_vector(f.t, disk)
+        frank = frank_angles(f.r, disk)
         # keep the loop clear of the boundary interpolation fringe
-        holonomy = integrate_loop(e, Circle(center, 0.75 * radius))
+        holonomy = integrate_loop(f.e, Circle(center, 0.75 * radius))
         records.append({
             "kind": d.kind,
             "position": list(d.position),
@@ -189,7 +186,8 @@ def _ratio_check(name, coarse, fine, band=RATIO_BAND, floor=MACHINE_ZERO):
 def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
     checks = []
     warnings = []
-    grid = scenario.configuration(scale).grid
+    base = _cartan_fields(scenario.configuration(scale))
+    grid = base.e.grid
     if min(grid.resolution) < 8:
         warnings.append("grid resolution below 8 on some axis: quadrature "
                         "and stencils are underresolved")
@@ -200,9 +198,9 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
 
     residual_records = []
 
-    def record(res, term, config):
+    def record(res, term, grid):
         rec = res.as_record(term)
-        rec["resolution"] = list(config.grid.resolution)
+        rec["resolution"] = list(grid.resolution)
         rec["coreRadius"] = [d.core_radius for d in scenario.defects]
         rec["couplings"] = {"alpha": scenario.couplings.alpha,
                             "beta": scenario.couplings.beta,
@@ -211,20 +209,19 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
 
     if min(grid.resolution) >= 16:
         norms = {}
-        for factor, tag in ((scale, "coarse"), (2 * scale, "fine")):
-            config = scenario.configuration(factor)
-            e = build_coframe(config)
-            omega = build_connection(config)
-            margin = [3.0 * h for h in grid.spacing]  # fixed by the base grid
-            tubes = [(d.position[0], d.position[1], 5 * d.core_radius)
-                     for d in scenario.defects]
-            dr, dte = bianchi_residuals(e, omega, boundary_margin=margin,
+        margin = [3.0 * h for h in grid.spacing]  # fixed by the base grid
+        tubes = [(d.position[0], d.position[1], 5 * d.core_radius)
+                 for d in scenario.defects]
+        for tag in ("coarse", "fine"):
+            f = base if tag == "coarse" else \
+                _cartan_fields(scenario.configuration(2 * scale))
+            dr, dte = bianchi_residuals(f, boundary_margin=margin,
                                         exclude_tubes=tubes)
-            record(dr, f"DR ({tag})", config)
-            record(dte, f"DT - R^e ({tag})", config)
+            record(dr, f"DR ({tag})", f.e.grid)
+            record(dte, f"DT - R^e ({tag})", f.e.grid)
             norms[(tag, "DR")] = dr.l2
             norms[(tag, "DT-Re")] = dte.l2
-            del dr, dte
+            del dr, dte, f
 
         checks.append(_ratio_check("bianchi DR interior convergence",
                                    norms[("coarse", "DR")],
@@ -236,18 +233,12 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
         warnings.append("grid too coarse for the refinement diagnostic; "
                         "conservation-law convergence skipped")
 
-    config = scenario.configuration(scale)
-    g = config.grid
-    e = build_coframe(config)
-    omega = build_connection(config)
-    t = torsion(e, omega)
-    r = curvature(omega)
-    zmid = _mid_z(g)
+    zmid = _mid_z(grid)
     for i, d in enumerate(scenario.defects):
-        radius = _measuring_radius(scenario, g, around=d)
+        radius = _measuring_radius(scenario, grid, around=d)
         center = (d.position[0], d.position[1], zmid)
         if d.kind in (SCREW, EDGE):
-            b = burgers_vector(t, Disk(center, radius))
+            b = burgers_vector(base.t, Disk(center, radius))
             if d.kind == SCREW:
                 expected = np.array([0.0, 0.0, d.charge])
             else:
@@ -270,7 +261,8 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
             else:
                 radii = list(np.linspace(max(rmin, 0.3 * radius),
                                          0.9 * radius, 3))
-                hols = [integrate_loop(e, Circle(center, rr)) for rr in radii]
+                hols = [integrate_loop(base.e, Circle(center, rr))
+                        for rr in radii]
                 dev = float(max(np.max(np.abs(h - expected)) for h in hols))
                 checks.append({"name": f"defect {i} ({d.kind}) loop holonomy "
                                        "equals Burgers, radius independent",
@@ -279,7 +271,7 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
                                "maxDeviation": dev,
                                "radii": radii})
         else:
-            frank = axial_vector(frank_angles(r, Disk(center, radius)))
+            frank = axial_vector(frank_angles(base.r, Disk(center, radius)))
             expected = 2 * np.pi * d.charge
             err = abs(frank[2] - expected) / max(abs(expected), 1e-30)
             checks.append({"name": f"defect {i} (wedge) Frank charge",
@@ -287,11 +279,11 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
                            "measured": [float(v) for v in frank]})
 
     if not scenario.defects:
-        e4, om4 = embed_static_4d(e, omega)
-        res_e = el_coframe_residual(e4, om4, scenario.couplings)
-        res_o = el_connection_residual(e4, om4, scenario.couplings)
-        record(res_e, "D(*T) + Gamma R^e", config)
-        record(res_o, "D(*R) + kappa (e^*T - e^*T)", config)
+        f4 = embed_static_4d(base)
+        res_e = el_coframe_residual(f4, scenario.couplings)
+        res_o = el_connection_residual(f4, scenario.couplings)
+        record(res_e, "D(*T) + Gamma R^e", grid)
+        record(res_o, "D(*R) + kappa (e^*T - e^*T)", grid)
         checks.append({"name": "defect-free force balance residual is zero",
                        "passed": bool(res_e.l2 == 0.0 and res_e.linf == 0.0),
                        "l2": res_e.l2, "max": res_e.linf})
@@ -299,7 +291,7 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
                        "passed": bool(res_o.l2 == 0.0 and res_o.linf == 0.0),
                        "l2": res_o.l2, "max": res_o.linf})
 
-    srcs = u1_sources(e, omega, scenario.couplings)
+    srcs = u1_sources(base, scenario.couplings)
     checks.append({"name": "U(1) source J2 identically zero in 3D",
                    "passed": bool(srcs.j2_identically_zero),
                    "dJ1Norm": srcs.dj1.l2})

@@ -22,7 +22,7 @@ charges are independent of the measuring radius once it exceeds a few eps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -194,6 +194,21 @@ def curvature(omega: FormField) -> FormField:
     """Curvature 2-form R = d omega + omega ^ omega."""
     require_connection(omega)
     return exterior_derivative(omega) + antisym_matmul(omega, omega)
+
+
+@dataclass(frozen=True)
+class CartanFields:
+    """A coframe and connection with the torsion t = D e and curvature
+    r = d omega + omega ^ omega they determine, each built once."""
+
+    e: FormField
+    omega: FormField
+    t: FormField = field(init=False)
+    r: FormField = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "t", torsion(self.e, self.omega))
+        object.__setattr__(self, "r", curvature(self.omega))
 
 
 def burgers_vector(t: FormField, surface, resolution: int = 512) -> np.ndarray:

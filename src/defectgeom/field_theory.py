@@ -1,9 +1,11 @@
 """Action terms, field-equation residuals, conservation-law diagnostics.
 
 Everything here evaluates closed-form configurations; nothing is solved as a
-PDE. The two Euler-Lagrange residuals need top degree four for consistent
-form degrees, so static 3D configurations are embedded as w-independent
-fields on a thin 4D grid first (see `embed_static_4d`).
+PDE. Every diagnostic takes a `CartanFields` bundle, so the torsion and
+curvature of a grid are built once and shared. The two Euler-Lagrange
+residuals need top degree four for consistent form degrees, so static 3D
+bundles are embedded as w-independent fields on a thin 4D grid first (see
+`embed_static_4d`), which builds the 4D torsion and curvature once for both.
 """
 
 from __future__ import annotations
@@ -24,13 +26,11 @@ from .forms import (
     exterior_derivative,
     grid_integral,
     hodge_star,
-    require_coframe,
-    require_connection,
     wedge,
     _coeff_shape,
     _frame_sum,
 )
-from .defects import curvature, torsion
+from .defects import CartanFields
 from .geometry import Box, box_integral
 
 
@@ -140,15 +140,14 @@ def make_residual(f: FormField, boundary_margin: float = 0.0,
 # 4D embedding of static configurations
 # ---------------------------------------------------------------------------
 
-def embed_static_4d(e: FormField, omega: FormField):
-    """Extend a static 3D (coframe, connection) pair to a thin 4D grid of
-    four w cells.
+def embed_static_4d(fields: CartanFields) -> CartanFields:
+    """Extend a static 3D bundle to a thin 4D grid of four w cells.
 
     Fields become w-independent, e^4 = dw and all new connection blocks
     vanish, so 4D diagnostics see the same geometry with consistent degrees.
+    The 4D torsion and curvature are built once, by the returned bundle.
     """
-    require_coframe(e)
-    require_connection(omega)
+    e, omega = fields.e, fields.omega
     g3 = e.grid
     if g3.dim != 3:
         raise ValueError("embedding expects 3D input fields")
@@ -171,7 +170,8 @@ def embed_static_4d(e: FormField, omega: FormField):
         p4 = pairs4.index((a, b))
         for c in range(3):
             om4[p4, c] = lift(omega.coeffs[p3, c])
-    return (FormField(g4, 1, VECTOR, e4), FormField(g4, 1, ANTISYM, om4))
+    return CartanFields(FormField(g4, 1, VECTOR, e4),
+                        FormField(g4, 1, ANTISYM, om4))
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +193,14 @@ class ActionBreakdown:
         return self.torsion_integral + self.curvature_integral + self.mixed_integral
 
 
-def action_density(e: FormField, omega: FormField, c: Couplings) -> ActionBreakdown:
+def action_density(fields: CartanFields, c: Couplings) -> ActionBreakdown:
     """Top-degree densities of the three action terms and their integrals.
 
     In three dimensions the mixed coframe-curvature term is a 4-form and
     vanishes identically; it is reported as an exactly zero density there.
     """
-    require_coframe(e)
-    require_connection(omega)
+    e, t, r = fields.e, fields.t, fields.r
     grid = e.grid
-    t = torsion(e, omega)
-    r = curvature(omega)
     term_t = c.alpha * wedge(t, hodge_star(t))
     term_r = c.beta * wedge(r, hodge_star(r))
     if grid.dim >= 4:
@@ -227,34 +224,30 @@ def action_density(e: FormField, omega: FormField, c: Couplings) -> ActionBreakd
 # Euler-Lagrange residuals (degree-consistent in 4D)
 # ---------------------------------------------------------------------------
 
-def el_coframe_residual(e: FormField, omega: FormField, c: Couplings,
+def el_coframe_residual(fields: CartanFields, c: Couplings,
                         boundary_margin: float = 0.0,
                         exclude_tubes=()) -> Residual:
     """Residual of the force balance D(*T_a) + Gamma R_ab ^ e^b."""
-    require_coframe(e)
+    e, omega, t, r = fields.e, fields.omega, fields.t, fields.r
     if e.grid.dim != 4:
         raise ValueError("coframe balance residual needs a 4D configuration; "
                          "embed static 3D fields first")
-    t = torsion(e, omega)
-    r = curvature(omega)
     res = covariant_exterior_derivative(hodge_star(t), omega) \
         + c.Gamma * wedge(r, e)
     return make_residual(res, boundary_margin, exclude_tubes,
                          note="D(*T) + Gamma R^e")
 
 
-def el_connection_residual(e: FormField, omega: FormField, c: Couplings,
+def el_connection_residual(fields: CartanFields, c: Couplings,
                            boundary_margin: float = 0.0,
                            exclude_tubes=()) -> Residual:
     """Residual of the spin balance D(*R_ab) + kappa (e^a ^ *T_b - e^b ^ *T_a)."""
-    require_coframe(e)
+    e, omega = fields.e, fields.omega
     if e.grid.dim != 4:
         raise ValueError("spin balance residual needs a 4D configuration; "
                          "embed static 3D fields first")
-    t = torsion(e, omega)
-    r = curvature(omega)
-    dstar = covariant_exterior_derivative(hodge_star(r), omega)
-    st = hodge_star(t)
+    dstar = covariant_exterior_derivative(hodge_star(fields.r), omega)
+    st = hodge_star(fields.t)
     anti = _frame_sum(e.grid, 1 + st.degree, ANTISYM,
                       [term for p, (fa, fb) in enumerate(antisym_pairs(e.grid.dim))
                        for term in ((p, 1, e, fa, st, fb), (p, -1, e, fb, st, fa))])
@@ -263,14 +256,10 @@ def el_connection_residual(e: FormField, omega: FormField, c: Couplings,
                          note="D(*R) + kappa (e^*T - e^*T)")
 
 
-def bianchi_residuals(e: FormField, omega: FormField,
-                      boundary_margin: float = 0.0,
+def bianchi_residuals(fields: CartanFields, boundary_margin: float = 0.0,
                       exclude_tubes=()) -> tuple:
     """(D R, D T - R ^ e) residuals; both vanish identically in the continuum."""
-    require_coframe(e)
-    require_connection(omega)
-    t = torsion(e, omega)
-    r = curvature(omega)
+    e, omega, t, r = fields.e, fields.omega, fields.t, fields.r
     dr = covariant_exterior_derivative(r, omega)
     dt = covariant_exterior_derivative(t, omega)
     second = dt - wedge(r, e)
@@ -292,7 +281,7 @@ class U1Sources:
     j2_identically_zero: bool
 
 
-def u1_sources(e: FormField, omega: FormField, c: Couplings,
+def u1_sources(fields: CartanFields, c: Couplings,
                boundary_margin: float = 0.0, exclude_tubes=()) -> U1Sources:
     """Geometric U(1) sources J1 = kappa T^a ^ e_a and J2 = lambda e^R^e.
 
@@ -300,11 +289,9 @@ def u1_sources(e: FormField, omega: FormField, c: Couplings,
     dimensions and is reported as such. Closedness residuals dJ are computed
     where the degree allows (J1 in 4D, never for top-degree forms).
     """
-    require_coframe(e)
-    require_connection(omega)
+    e = fields.e
     grid = e.grid
-    t = torsion(e, omega)
-    j1 = c.kappa_u1 * wedge(t, e)
+    j1 = c.kappa_u1 * wedge(fields.t, e)
     if j1.degree < grid.dim:
         dj1 = make_residual(exterior_derivative(j1), boundary_margin,
                             exclude_tubes, note="d J1")
@@ -312,8 +299,7 @@ def u1_sources(e: FormField, omega: FormField, c: Couplings,
         dj1 = Residual(field=None, l2=0.0, linf=0.0, interior_only=False,
                        note="J1 has top degree; d J1 vanishes identically")
     if grid.dim >= 4:
-        r = curvature(omega)
-        j2 = c.lambda_u1 * wedge(e, wedge(r, e))
+        j2 = c.lambda_u1 * wedge(e, wedge(fields.r, e))
         dj2 = Residual(field=None, l2=0.0, linf=0.0, interior_only=False,
                        note="J2 has top degree; d J2 vanishes identically")
         return U1Sources(j1, j2, dj1, dj2, j2_identically_zero=False)

@@ -122,18 +122,17 @@ def test_criterion_06_bianchi_convergence():
         cfg = dg.DefectConfiguration(
             grid, [dg.DefectSpec("screw", (-0.5, 0), 1.0, EPS),
                    dg.DefectSpec("wedge", (0.5, 0), 0.1, EPS)])
-        e = dg.build_coframe(cfg)
-        om = dg.build_connection(cfg)
+        f = dg.CartanFields(dg.build_coframe(cfg), dg.build_connection(cfg))
         dr, dte = dg.bianchi_residuals(
-            e, om, boundary_margin=[0.15, 0.15, 0.3],
+            f, boundary_margin=[0.15, 0.15, 0.3],
             exclude_tubes=[(-0.5, 0, 5 * EPS), (0.5, 0, 5 * EPS)])
         norms[factor] = (dr.l2, dte.l2)
     canonical_exact = all(v < 1e-10 for pair in norms.values() for v in pair)
 
     gnorms = {}
     for n in (32, 64):
-        e, om = generic_fields(n)
-        dr, dte = dg.bianchi_residuals(e, om, boundary_margin=0.3)
+        dr, dte = dg.bianchi_residuals(generic_fields(n),
+                                       boundary_margin=0.3)
         gnorms[n] = (dr.l2, dte.l2)
     r_dr = gnorms[32][0] / gnorms[64][0]
     r_dt = gnorms[32][1] / gnorms[64][1]
@@ -268,7 +267,7 @@ def test_criterion_11_u1_sources(screw_fields):
     _, e, om, _ = screw_fields
     kappa = 1.5
     couplings = dg.Couplings(1, 1, 1, kappa_u1=kappa, lambda_u1=1.0)
-    src = dg.u1_sources(e, om, couplings)
+    src = dg.u1_sources(dg.CartanFields(e, om), couplings)
     val = dg.u1_flux_balance(src.j1, Box((-0.6, -0.6, -0.4), (0.6, 0.6, 0.4)))
     target = kappa * 1.0 * 0.8
     tube_ok = abs(val - target) / target < 1e-3
@@ -278,10 +277,9 @@ def test_criterion_11_u1_sources(screw_fields):
         grid = GridSpec(EXTENTS, [48 * factor, 48 * factor, 4 * factor])
         cfg = dg.DefectConfiguration(grid, [dg.DefectSpec("screw", (0, 0),
                                                           1.0, 0.1)])
-        e3 = dg.build_coframe(cfg)
-        om3 = dg.build_connection(cfg)
-        e4, om4 = dg.embed_static_4d(e3, om3)
-        s4 = dg.u1_sources(e4, om4, couplings,
+        f4 = dg.embed_static_4d(
+            dg.CartanFields(dg.build_coframe(cfg), dg.build_connection(cfg)))
+        s4 = dg.u1_sources(f4, couplings,
                            boundary_margin=(0.2, 0.2, 0.2, 0.0))
         dj_norms.append(s4.dj1.l2)
     closed_ok = all(n < 1e-12 for n in dj_norms) or \

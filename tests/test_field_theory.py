@@ -22,7 +22,7 @@ def test_couplings_validation():
 
 def make_config(grid, *defects):
     cfg = dg.DefectConfiguration(grid, list(defects))
-    return dg.build_coframe(cfg), dg.build_connection(cfg)
+    return dg.CartanFields(dg.build_coframe(cfg), dg.build_connection(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -30,8 +30,8 @@ def make_config(grid, *defects):
 # ---------------------------------------------------------------------------
 
 def test_action_defect_free_zero(grid64):
-    e, om = make_config(grid64)
-    act = dg.action_density(e, om, dg.Couplings(1, 1, 1))
+    f = make_config(grid64)
+    act = dg.action_density(f, dg.Couplings(1, 1, 1))
     assert act.torsion_integral == 0.0
     assert act.curvature_integral == 0.0
     assert act.mixed_integral == 0.0
@@ -45,8 +45,8 @@ def test_screw_core_self_energy(grid128):
     lz = 0.8
     vals = {}
     for eps in (0.1, 0.2):
-        e, om = make_config(grid128, dg.DefectSpec("screw", (0, 0), 1.0, eps))
-        act = dg.action_density(e, om, dg.Couplings(1, 1, 1))
+        f = make_config(grid128, dg.DefectSpec("screw", (0, 0), 1.0, eps))
+        act = dg.action_density(f, dg.Couplings(1, 1, 1))
         oracle = 1.0 / (4 * np.pi * eps ** 2) * lz
         assert abs(act.torsion_integral - oracle) / oracle < 0.02
         assert act.mixed_identically_zero
@@ -58,17 +58,17 @@ def test_screw_core_self_energy(grid128):
 def test_torsion_term_quadratic_in_charge(grid64):
     out = {}
     for b in (1.0, 2.0):
-        e, om = make_config(grid64, dg.DefectSpec("screw", (0, 0), b, 0.1))
-        out[b] = dg.action_density(e, om, dg.Couplings(1, 1, 1))
+        f = make_config(grid64, dg.DefectSpec("screw", (0, 0), b, 0.1))
+        out[b] = dg.action_density(f, dg.Couplings(1, 1, 1))
     ratio = out[2.0].torsion_integral / out[1.0].torsion_integral
     assert abs(ratio - 4.0) < 1e-6
 
 
 def test_action_4d_mixed_term_evaluates():
     grid = GridSpec(EXTENTS, [24, 24, 4])
-    e, om = make_config(grid, dg.DefectSpec("wedge", (0, 0), 0.1, 0.2))
-    e4, om4 = dg.embed_static_4d(e, om)
-    act = dg.action_density(e4, om4, dg.Couplings(1, 1, 1))
+    f4 = dg.embed_static_4d(
+        make_config(grid, dg.DefectSpec("wedge", (0, 0), 0.1, 0.2)))
+    act = dg.action_density(f4, dg.Couplings(1, 1, 1))
     assert not act.mixed_identically_zero
     # curvature only populates the in-plane block against in-plane coframe
     # legs, so even in 4D the canonical wedge mixed density vanishes
@@ -80,20 +80,19 @@ def test_action_4d_mixed_term_evaluates():
 # ---------------------------------------------------------------------------
 
 def test_el_requires_4d(grid64):
-    e, om = make_config(grid64)
+    f = make_config(grid64)
     c = dg.Couplings(1, 1, 1)
     with pytest.raises(ValueError, match="4D"):
-        dg.el_coframe_residual(e, om, c)
+        dg.el_coframe_residual(f, c)
     with pytest.raises(ValueError, match="4D"):
-        dg.el_connection_residual(e, om, c)
+        dg.el_connection_residual(f, c)
 
 
 def test_el_defect_free_exactly_zero(grid64):
-    e, om = make_config(grid64)
-    e4, om4 = dg.embed_static_4d(e, om)
+    f4 = dg.embed_static_4d(make_config(grid64))
     c = dg.Couplings(1, 2, 0.7)
-    r1 = dg.el_coframe_residual(e4, om4, c)
-    r2 = dg.el_connection_residual(e4, om4, c)
+    r1 = dg.el_coframe_residual(f4, c)
+    r2 = dg.el_connection_residual(f4, c)
     assert r1.l2 == 0.0 and r1.linf == 0.0
     assert r2.l2 == 0.0 and r2.linf == 0.0
 
@@ -101,13 +100,12 @@ def test_el_defect_free_exactly_zero(grid64):
 def elres_pair(factor, kind, charge=1.0):
     grid = GridSpec(EXTENTS, [32 * factor, 32 * factor, 4 * factor])
     spec = dg.DefectSpec(kind, (0, 0), charge, 0.1)
-    e, om = make_config(grid, spec)
-    e4, om4 = dg.embed_static_4d(e, om)
+    f4 = dg.embed_static_4d(make_config(grid, spec))
     c = dg.Couplings(1, 1, 0.5)
     kw = dict(boundary_margin=(0.3, 0.3, 0.3, 0.0),
               exclude_tubes=[(0, 0, 0.5)])
-    return (dg.el_coframe_residual(e4, om4, c, **kw),
-            dg.el_connection_residual(e4, om4, c, **kw))
+    return (dg.el_coframe_residual(f4, c, **kw),
+            dg.el_connection_residual(f4, c, **kw))
 
 
 def test_el_screw_interior_second_order():
@@ -128,13 +126,12 @@ def test_el_wedge_residual_comes_from_torsion_term():
     structure; its force-balance residual is carried entirely by D(*T) of
     the connection-induced torsion."""
     grid = GridSpec(EXTENTS, [48, 48, 4])
-    e, om = make_config(grid, dg.DefectSpec("wedge", (0, 0), 0.1, 0.1))
-    e4, om4 = dg.embed_static_4d(e, om)
+    f4 = dg.embed_static_4d(
+        make_config(grid, dg.DefectSpec("wedge", (0, 0), 0.1, 0.1)))
     c = dg.Couplings(1, 1, 0.5)
-    r4 = dg.curvature(om4)
-    re_term = dg.wedge(r4, e4)
+    re_term = dg.wedge(f4.r, f4.e)
     assert re_term.max_abs() == 0.0
-    res = dg.el_coframe_residual(e4, om4, c,
+    res = dg.el_coframe_residual(f4, c,
                                  boundary_margin=(0.2, 0.2, 0.2, 0.0))
     assert res.l2 > 0.0
 
@@ -147,10 +144,10 @@ def test_bianchi_canonical_exactly_conserved(grid64):
     """Static z-aligned configurations keep both identities bit-exactly:
     every term is killed by transverse degree saturation or exact
     z-independence of the stencils."""
-    e, om = make_config(grid64,
-                        dg.DefectSpec("screw", (-0.5, 0), 1.0, EPS),
-                        dg.DefectSpec("wedge", (0.5, 0), 0.1, EPS))
-    dr, dte = dg.bianchi_residuals(e, om)
+    f = make_config(grid64,
+                    dg.DefectSpec("screw", (-0.5, 0), 1.0, EPS),
+                    dg.DefectSpec("wedge", (0.5, 0), 0.1, EPS))
+    dr, dte = dg.bianchi_residuals(f)
     assert dr.l2 == 0.0 and dr.linf == 0.0
     assert dte.l2 == 0.0 and dte.linf == 0.0
 
@@ -174,14 +171,15 @@ def generic_fields(n):
     oc[1, 0] = 0.1 * np.sin(Y + Z)
     oc[2, 2] = 0.2 * np.cos(X + Z)
     oc[2, 1] = 0.1 * np.sin(X) * np.sin(Z)
-    return (FormField(grid, 1, VECTOR, ec), FormField(grid, 1, ANTISYM, oc))
+    return dg.CartanFields(FormField(grid, 1, VECTOR, ec),
+                           FormField(grid, 1, ANTISYM, oc))
 
 
 def test_bianchi_generic_second_order():
     norms = {}
     for n in (32, 64):
-        e, om = generic_fields(n)
-        dr, dte = dg.bianchi_residuals(e, om, boundary_margin=0.3)
+        dr, dte = dg.bianchi_residuals(generic_fields(n),
+                                       boundary_margin=0.3)
         norms[n] = (dr.l2, dte.l2)
     assert 3.0 <= norms[32][0] / norms[64][0] <= 5.0
     assert 3.0 <= norms[32][1] / norms[64][1] <= 5.0
@@ -192,8 +190,8 @@ def test_bianchi_generic_second_order():
 # ---------------------------------------------------------------------------
 
 def test_u1_defect_free(grid64):
-    e, om = make_config(grid64)
-    src = dg.u1_sources(e, om, dg.Couplings(1, 1, 1, kappa_u1=2.0))
+    src = dg.u1_sources(make_config(grid64),
+                        dg.Couplings(1, 1, 1, kappa_u1=2.0))
     assert src.j1.max_abs() == 0.0
     assert src.j2 is None and src.j2_identically_zero
 
@@ -201,7 +199,8 @@ def test_u1_defect_free(grid64):
 def test_u1_screw_tube_charge(screw_fields):
     _, e, om, _ = screw_fields
     kappa = 2.0
-    src = dg.u1_sources(e, om, dg.Couplings(1, 1, 1, kappa_u1=kappa))
+    src = dg.u1_sources(dg.CartanFields(e, om),
+                        dg.Couplings(1, 1, 1, kappa_u1=kappa))
     assert src.j1.degree == 3 and src.j2_identically_zero
     assert src.dj1.l2 == 0.0    # top degree in 3D
     full = dg.u1_flux_balance(src.j1, Box((-0.6, -0.6, -0.4), (0.6, 0.6, 0.4)))
@@ -215,15 +214,16 @@ def test_u1_screw_tube_charge(screw_fields):
 
 
 def test_u1_empty_configuration_box_is_exactly_zero(grid64):
-    e, om = make_config(grid64)
-    src = dg.u1_sources(e, om, dg.Couplings(1, 1, 1, kappa_u1=3.0))
+    src = dg.u1_sources(make_config(grid64),
+                        dg.Couplings(1, 1, 1, kappa_u1=3.0))
     val = dg.u1_flux_balance(src.j1, Box((-0.5, -0.5, -0.2), (0.5, 0.5, 0.2)))
     assert val == 0.0
 
 
 def test_u1_additivity_over_disjoint_volumes(screw_fields):
     _, e, om, _ = screw_fields
-    src = dg.u1_sources(e, om, dg.Couplings(1, 1, 1, kappa_u1=1.0))
+    src = dg.u1_sources(dg.CartanFields(e, om),
+                        dg.Couplings(1, 1, 1, kappa_u1=1.0))
     lo = dg.u1_flux_balance(src.j1, Box((-0.6, -0.6, -0.4), (0.6, 0.6, -0.1)))
     hi = dg.u1_flux_balance(src.j1, Box((-0.6, -0.6, -0.1), (0.6, 0.6, 0.4)))
     full = dg.u1_flux_balance(src.j1, Box((-0.6, -0.6, -0.4), (0.6, 0.6, 0.4)))
@@ -235,8 +235,8 @@ def test_u1_static_4d_closedness_is_exact(screw_fields):
     with no z or w dependence, so its exterior derivative vanishes to
     rounding at every resolution."""
     _, e, om, _ = screw_fields
-    e4, om4 = dg.embed_static_4d(e, om)
-    src = dg.u1_sources(e4, om4, dg.Couplings(1, 1, 1, kappa_u1=1.0),
+    f4 = dg.embed_static_4d(dg.CartanFields(e, om))
+    src = dg.u1_sources(f4, dg.Couplings(1, 1, 1, kappa_u1=1.0),
                         boundary_margin=(0.2, 0.2, 0.2, 0.0))
     assert src.dj1 is not None
     assert src.dj1.l2 < 1e-12
@@ -263,8 +263,8 @@ def rotated_screw_fields(n, alpha=0.5, b=1.0, eps=0.12):
     ec[2, 0] = sa + pref * cxp * ca
     ec[2, 2] = ca + pref * cxp * (-sa)
     ec[2, 1] = pref * cy
-    return (FormField(grid, 1, VECTOR, ec),
-            dg.zero_connection(grid))
+    return dg.CartanFields(FormField(grid, 1, VECTOR, ec),
+                           dg.zero_connection(grid))
 
 
 def test_u1_closedness_exact_even_off_axis():
@@ -272,16 +272,16 @@ def test_u1_closedness_exact_even_off_axis():
     a tilted screw line, d J1 combines a commuting-stencil d(d e) with a
     pointwise self-wedge of a spatial 2-form, and both vanish identically."""
     c = dg.Couplings(1, 1, 1, kappa_u1=1.0)
-    e3, om3 = rotated_screw_fields(64)
-    e4, om4 = dg.embed_static_4d(e3, om3)
-    src = dg.u1_sources(e4, om4, c, boundary_margin=(0.3, 0.3, 0.3, 0.0))
+    f4 = dg.embed_static_4d(rotated_screw_fields(64))
+    src = dg.u1_sources(f4, c, boundary_margin=(0.3, 0.3, 0.3, 0.0))
     assert src.dj1.l2 < 1e-12
     assert src.j1.max_abs() > 0.0
 
 
 def test_u1_flux_balance_volume_checks(screw_fields):
     _, e, om, _ = screw_fields
-    src = dg.u1_sources(e, om, dg.Couplings(1, 1, 1, kappa_u1=1.0))
+    src = dg.u1_sources(dg.CartanFields(e, om),
+                        dg.Couplings(1, 1, 1, kappa_u1=1.0))
     with pytest.raises(ValueError, match="exits"):
         dg.u1_flux_balance(src.j1, Box((-2.0, 0, 0), (0.5, 0.5, 0.3)))
     with pytest.raises(ValueError):
@@ -293,8 +293,7 @@ def test_u1_flux_balance_volume_checks(screw_fields):
 # ---------------------------------------------------------------------------
 
 def test_interior_mask_and_norms(grid64):
-    e, om = make_config(grid64, dg.DefectSpec("screw", (0, 0), 1.0, EPS))
-    t = dg.torsion(e, om)
+    t = make_config(grid64, dg.DefectSpec("screw", (0, 0), 1.0, EPS)).t
     full = dg.field_norms(t)
     masked = dg.field_norms(t, boundary_margin=0.2,
                             exclude_tubes=[(0, 0, 0.5)])

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from defectgeom.defects import CartanFields
 from defectgeom.field_theory import Couplings, el_connection_residual
 from defectgeom.forms import (
     ANTISYM,
@@ -261,7 +262,7 @@ def test_spin_balance_matches_loops():
     for _ in range(4):
         e = rand_field(rng, grid, 1, VECTOR)
         omega = rand_field(rng, grid, 1, ANTISYM)
-        got = el_connection_residual(e, omega, c).field
+        got = el_connection_residual(CartanFields(e, omega), c).field
         _same_bytes(got, ref_spin_balance(e, omega, c))
 
 

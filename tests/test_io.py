@@ -119,14 +119,7 @@ def test_csv_matches_per_value_formatter(tmp_path):
     assert np.prod(grid.resolution) > 4096
     path = tmp_path / "f.csv"
     dg.write_csv(path, field)
-
-    mesh = [m.ravel() for m in grid.meshgrid()]
-    block = np.column_stack(mesh + list(coeffs.reshape(9, -1)))
-    header = "x,y,z," + ",".join(f"a{a}_d{ax}" for a in (1, 2, 3)
-                                 for ax in "xyz")
-    expected = header + "\n" + "".join(
-        ",".join(f"{v:.17g}" for v in row) + "\n" for row in block)
-    assert path.read_text() == expected
+    _assert_same_lines(path.read_text(), _per_value_csv(field))
 
 
 def _rewrite_header(path, edit):
@@ -172,6 +165,17 @@ def _per_value_csv(field):
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in block)
 
 
+def _assert_same_lines(got, want):
+    """Exact text equality that names the first differing line. A plain ==
+    on thousands of lines sends pytest into a diff that runs for minutes."""
+    got, want = got.split("\n"), want.split("\n")
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert bad is None, f"line {bad + 1}: got {got[bad]!r}, want {want[bad]!r}"
+    # the texts share every line, so equal counts make them equal, down to
+    # the trailing newline
+    assert len(got) == len(want), f"{len(got)} lines, want {len(want)}"
+
+
 @pytest.mark.parametrize("resolution", [(4, 5, 6), (16, 16, 16), (20, 21, 13)])
 def test_csv_repeated_values_match_per_value_formatter(tmp_path, resolution):
     """Constant columns become template text and invariant columns are
@@ -195,8 +199,4 @@ def test_csv_repeated_values_match_per_value_formatter(tmp_path, resolution):
     field = FormField(grid, 1, "vector", c)
     path = tmp_path / "f.csv"
     dg.write_csv(path, field)
-    got = path.read_text().split("\n")
-    want = _per_value_csv(field).split("\n")
-    bad = [i for i, (g, w) in enumerate(zip(got, want)) if g != w]
-    assert not bad and len(got) == len(want), \
-        f"line {bad[:1]}: {got[bad[0]] if bad else len(got)!r}"
+    _assert_same_lines(path.read_text(), _per_value_csv(field))

@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,29 @@ def test_cli_verify_defect_free_exact(tmp_path):
     names = {c["name"] for c in report["checks"]}
     assert any("force balance" in n for n in names)
     assert report["passed"]
+
+
+def test_cli_verify_builds_each_grid_once(tmp_path, monkeypatch):
+    """verify on the defect-free scenario builds torsion and curvature once
+    per grid (base, fine and 4D embedding) and the coframe once per 3D
+    grid. Every binding of each builder in the package is counted."""
+    calls = dict.fromkeys(("torsion", "curvature", "build_coframe"), 0)
+    modules = [m for n, m in sys.modules.items()
+               if n == "defectgeom" or n.startswith("defectgeom.")]
+    for name in calls:
+        orig = getattr(dg.defects, name)
+
+        def counted(*args, _orig=orig, _name=name):
+            calls[_name] += 1
+            return _orig(*args)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is orig:
+                    monkeypatch.setattr(module, attr, counted)
+    code, _ = run_cli(tmp_path, "verify", SCENARIOS / "defect_free.json")
+    assert code == 0
+    assert calls == {"torsion": 3, "curvature": 3, "build_coframe": 2}
 
 
 def test_cli_resolution_scale(tmp_path):
