@@ -20,6 +20,16 @@ from defectgeom.dynamics import (
 
 EXTENTS = [(-1.6, 1.6), (-1.6, 1.6), (-0.4, 0.4)]
 
+
+def run(lines, disc, params):
+    """params.steps Euler steps: the final lines and each step's NodeStep."""
+    node_steps = []
+    for step in range(params.steps):
+        lines, node_step, _ = step_lines(lines, disc, params, EXTENTS, step)
+        node_steps.append(node_step)
+    return lines, node_steps
+
+
 print("force-law comparison for Theta || b (screw through a coaxial wedge):")
 theta, b, v = np.array([0, 0, 0.1]), np.array([0, 0, 1.0]), np.array([0.5, 0, 0])
 zhat = np.array([0.0, 0.0, 1.0])
@@ -36,17 +46,18 @@ line = DislocationLine(
 disc = DisclinationField([DisclinationSource((0.1, 0.0), 0.2, 0.15)])
 params = DynamicsParams(Gamma=2.0, time_step=0.02, steps=60,
                         external_force=np.array([0.4, 0.0, 0.0]))
-out, diags, _ = step_lines([line], disc, params, EXTENTS)
+out, node_steps = run([line], disc, params)
 
 start, end = line.nodes[0], out[0].nodes[0]
 print(f"\ntrajectory of node 0: {np.round(start, 3)} -> {np.round(end, 3)}")
 print(f"transverse deflection accumulated: {end[2] - start[2]:+.4f} along z")
-worst = max(d.transversality for d in diags)
-print(f"worst transversality defect over {len(diags)} node-steps: {worst:.1e}")
+worst = max(s.transversality.max() for s in node_steps)
+print(f"worst transversality defect over {sum(map(len, node_steps))} "
+      f"node-steps: {worst:.1e}")
 
 gamma0 = DynamicsParams(Gamma=0.0, time_step=0.02, steps=60,
                         external_force=np.array([0.4, 0.0, 0.0]))
-straight, _, _ = step_lines([line], disc, gamma0, EXTENTS)
+straight, _ = run([line], disc, gamma0)
 print(f"control run with Gamma = 0 ends at {np.round(straight[0].nodes[0], 3)}"
       " (no deflection)")
 

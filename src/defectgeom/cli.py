@@ -28,7 +28,7 @@ from .defects import (
     curvature,
     frank_angles,
 )
-from .dynamics import _euler_step, magnus_force, transversality_defect
+from .dynamics import magnus_force, step_lines, transversality_defect
 from .field_theory import (
     bianchi_residuals,
     el_coframe_residual,
@@ -332,8 +332,8 @@ def cmd_simulate(scenario: Scenario, out: Path, scale: int) -> int:
     node_steps = []
     current = lines
     for step in range(params.steps):
-        current, node_step, clips = _euler_step(current, disc, params,
-                                                grid.extents, step)
+        current, node_step, clips = step_lines(current, disc, params,
+                                               grid.extents, step)
         node_steps.append(node_step)
         all_clips.extend(clips)
         if threshold is not None:

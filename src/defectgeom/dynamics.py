@@ -186,20 +186,6 @@ def solve_velocity(f_ext, theta, burgers, Gamma, mobility,
 
 
 @dataclass
-class StepDiagnostics:
-    """Per-node record emitted by one integration step."""
-
-    step: int
-    line_id: str
-    node: int
-    position: np.ndarray
-    velocity: np.ndarray
-    f_ext: np.ndarray
-    f_magnus: np.ndarray
-    transversality: float
-
-
-@dataclass
 class ClipEvent:
     step: int
     line_id: str
@@ -230,6 +216,10 @@ class NodeStep:
     f_magnus: np.ndarray
     transversality: np.ndarray
 
+    def __len__(self):
+        """Number of node rows."""
+        return len(self.node)
+
 
 def _dot(a, b):
     """Row-wise dot products of (n, 3) arrays, bit-equal to np.dot per row.
@@ -245,14 +235,20 @@ def _stacked(parts):
     return np.concatenate([np.empty((0, 3)), *parts])
 
 
-def _euler_step(lines, disclinations: DisclinationField,
-                params: DynamicsParams, extents, step: int):
+def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
+               extents=None, step: int = 0):
     """Advance every node of every line by one explicit-Euler step.
+
+    Returns (new_lines, NodeStep, clip_events). Nodes leaving the extents
+    are clipped from their line and logged; a line left with fewer than two
+    nodes, or three if it is closed, is dropped. The step size must satisfy
+    dt * M * |F| <= 0.1 * min extent, and a non-finite velocity or force
+    raises ValueError naming the node. `step` labels the clip events and the
+    errors; params.steps is not read, so callers loop over the steps.
 
     All nodes are solved as one stacked (n, 3, 3) system with the arithmetic
     of solve_velocity, magnus_force and transversality_defect, so each node
-    gets the bits of the per-node functions. Returns (new_lines, NodeStep,
-    clip_events); clipping follows step_lines.
+    gets the bits of the per-node functions.
     """
     lines = [DislocationLine(np.array(l.nodes), np.array(l.burgers), l.closed,
                              l.mobility, l.id) for l in lines]
@@ -329,31 +325,6 @@ def _euler_step(lines, disclinations: DisclinationField,
         line_ids=[ids[k] for k in line_of.tolist()], node=node,
         position=nodes, velocity=v, f_ext=f_ext, f_magnus=fm,
         transversality=transversality), clips
-
-
-def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
-               extents=None):
-    """Advance lines for params.steps explicit-Euler steps.
-
-    Returns (new_lines, diagnostics, clip_events). Nodes leaving the extents
-    are clipped from their line and logged; a line reduced below two nodes is
-    dropped. The step size must satisfy dt * M * |F| <= 0.1 * min extent, and
-    a non-finite velocity or force raises ValueError naming the node.
-    """
-    lines = list(lines)
-    diagnostics = []
-    clips = []
-    for step in range(params.steps):
-        lines, s, step_clips = _euler_step(lines, disclinations, params,
-                                           extents, step)
-        diagnostics.extend(
-            StepDiagnostics(step=step, line_id=line_id, node=int(k),
-                            position=s.position[i], velocity=s.velocity[i],
-                            f_ext=s.f_ext[i], f_magnus=s.f_magnus[i],
-                            transversality=float(s.transversality[i]))
-            for i, (line_id, k) in enumerate(zip(s.line_ids, s.node)))
-        clips.extend(step_clips)
-    return lines, diagnostics, clips
 
 
 @dataclass(frozen=True)

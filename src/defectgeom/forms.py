@@ -635,10 +635,8 @@ def integrate_surface(a: FormField, surface, resolution: int = 256):
     """
     if a.degree != 2:
         raise ValueError("surface integration needs a 2-form")
-    nu, nw = surface.panel_counts(resolution)
-    u = (np.arange(nu) + 0.5) / nu
-    w = (np.arange(nw) + 0.5) / nw
-    U, W = np.meshgrid(u, w, indexing="ij")
+    u = (np.arange(resolution) + 0.5) / resolution
+    U, W = np.meshgrid(u, u, indexing="ij")
     points, tu, tw = surface.points_and_tangents(U.ravel(), W.ravel())
     if not np.all(a.grid.contains(points)):
         raise ValueError("surface exits grid extents")
@@ -646,7 +644,7 @@ def integrate_surface(a: FormField, surface, resolution: int = 256):
     tw = np.asarray(tw)
     jac = np.array([tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]
                     for i, j in a.components])
-    return _quadrature(a, points, jac, nu * nw)
+    return _quadrature(a, points, jac, resolution * resolution)
 
 
 def integrate_loop(a: FormField, loop, resolution: int = 512):

@@ -20,20 +20,6 @@ def _unit(v):
     return v / n
 
 
-def _orthonormal_pair(normal, dim):
-    """Two unit vectors spanning the plane orthogonal to `normal`."""
-    normal = _unit(normal)
-    trial = np.zeros(dim)
-    trial[int(np.argmin(np.abs(normal)))] = 1.0
-    e1 = trial - np.dot(trial, normal) * normal
-    e1 = _unit(e1)
-    if dim == 3:
-        e2 = np.cross(normal, e1)
-    else:
-        raise ValueError("normal-based construction requires dim 3")
-    return e1, e2
-
-
 @dataclass(frozen=True)
 class Disk:
     """Planar disk, radial parametrization r = u * radius, angle 2*pi*w.
@@ -61,9 +47,6 @@ class Disk:
                 raise ValueError("disk axes must be orthogonal")
         object.__setattr__(self, "center", tuple(center))
         object.__setattr__(self, "axes", (tuple(e1), tuple(e2)))
-
-    def panel_counts(self, resolution):
-        return resolution, resolution
 
     def points_and_tangents(self, u, w):
         c = np.asarray(self.center)
@@ -97,9 +80,6 @@ class PlanarPatch:
         object.__setattr__(self, "span1", tuple(s1))
         object.__setattr__(self, "span2", tuple(s2))
 
-    def panel_counts(self, resolution):
-        return resolution, resolution
-
     def points_and_tangents(self, u, w):
         o = np.asarray(self.origin)
         s1 = np.asarray(self.span1)
@@ -117,9 +97,6 @@ class ParametricSurface:
     point_fn: callable
     tangent_u_fn: callable
     tangent_w_fn: callable
-
-    def panel_counts(self, resolution):
-        return resolution, resolution
 
     def points_and_tangents(self, u, w):
         return (np.asarray(self.point_fn(u, w), float),

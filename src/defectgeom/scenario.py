@@ -216,8 +216,12 @@ def parse_scenario(doc: dict) -> Scenario:
                 raise ScenarioError(f"{path}: {err}") from err
         lines = tuple(parsed_lines)
 
+        source_objs = dyn.get("disclination_sources", [])
+        if not isinstance(source_objs, list):
+            raise ScenarioError(
+                "$.dynamics.disclination_sources: expected a list")
         parsed_sources = []
-        for i, sobj in enumerate(dyn.get("disclination_sources", [])):
+        for i, sobj in enumerate(source_objs):
             path = f"$.dynamics.disclination_sources[{i}]"
             _expect_keys(sobj, path, ("position", "frank", "core_radius"))
             try:

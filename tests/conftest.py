@@ -54,3 +54,14 @@ def tilted_coframe(grid, tilt=0.3):
     coeffs = np.array(dg.identity_coframe(grid).coeffs)
     coeffs[1, 2] += tilt
     return dg.FormField(grid, 1, dg.VECTOR, coeffs)
+
+
+def run_steps(lines, disclinations, params, extents=None):
+    """params.steps calls of step_lines: (final lines, NodeSteps, clips)."""
+    node_steps, clips = [], []
+    for step in range(params.steps):
+        lines, node_step, step_clips = dg.step_lines(
+            lines, disclinations, params, extents, step)
+        node_steps.append(node_step)
+        clips.extend(step_clips)
+    return lines, node_steps, clips

@@ -21,7 +21,6 @@ from defectgeom.dynamics import (
     DynamicsParams,
     magnus_force,
     solve_velocity,
-    step_lines,
 )
 from defectgeom.forms import GridSpec
 from defectgeom.geometry import Box, Circle, Disk
@@ -32,7 +31,7 @@ from defectgeom.network import (
     reconnect,
 )
 
-from conftest import EPS, EXTENTS, tilted_coframe
+from conftest import EPS, EXTENTS, run_steps, tilted_coframe
 from test_field_theory import generic_fields
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -171,8 +170,9 @@ def test_criterion_07_magnus_transversality():
     disc = DisclinationField([DisclinationSource((0.1, 0.0), 0.2, 0.15)])
     params = DynamicsParams(Gamma=2.0, time_step=0.02, steps=50,
                             external_force=np.array([0.4, 0.0, 0.0]))
-    _, diags, _ = step_lines([line], disc, params, EXTENTS)
-    defects.extend(d.transversality for d in diags)
+    _, node_steps, _ = run_steps([line], disc, params, EXTENTS)
+    for s in node_steps:
+        defects.extend(s.transversality.tolist())
 
     worst = max(defects)
     ok = example_ok and worst < 1e-12

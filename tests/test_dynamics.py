@@ -20,7 +20,7 @@ from defectgeom.dynamics import (
 )
 from defectgeom.forms import GridSpec
 
-from conftest import EXTENTS
+from conftest import EXTENTS, run_steps
 
 ZHAT = np.array([0.0, 0.0, 1.0])
 
@@ -179,10 +179,10 @@ def test_step_zero_force_keeps_positions():
     line = straight_line()
     params = DynamicsParams(Gamma=1.0, time_step=0.1, steps=5)
     disc = DisclinationField([])
-    out, diags, clips = step_lines([line], disc, params, EXTENTS)
+    out, node_steps, clips = run_steps([line], disc, params, EXTENTS)
     assert np.array_equal(out[0].nodes, line.nodes)
     assert not clips
-    assert all(d.transversality == 0.0 for d in diags)
+    assert all(np.all(s.transversality == 0.0) for s in node_steps)
 
 
 def test_step_rigid_translation_gamma_zero():
@@ -190,7 +190,7 @@ def test_step_rigid_translation_gamma_zero():
     params = DynamicsParams(Gamma=0.0, time_step=0.05, steps=4,
                             external_force=np.array([0.5, 0.0, 0.0]))
     disc = DisclinationField([])
-    out, diags, _ = step_lines([line], disc, params, EXTENTS)
+    out, _, _ = run_steps([line], disc, params, EXTENTS)
     moved = out[0].nodes - line.nodes
     assert np.allclose(moved[:, 0], 2.0 * 0.5 * 0.05 * 4, atol=1e-14)
     assert np.allclose(moved[:, 1:], 0.0, atol=1e-15)
@@ -201,8 +201,8 @@ def test_step_transversality_along_deflected_trajectory():
     disc = DisclinationField([DisclinationSource((0.1, 0.0), 0.2, 0.15)])
     params = DynamicsParams(Gamma=2.0, time_step=0.02, steps=60,
                             external_force=np.array([0.4, 0.0, 0.0]))
-    out, diags, _ = step_lines([line], disc, params, EXTENTS)
-    assert max(d.transversality for d in diags) < 1e-12
+    out, node_steps, _ = run_steps([line], disc, params, EXTENTS)
+    assert max(s.transversality.max() for s in node_steps) < 1e-12
     # Theta x b points along y here, so passing the core deflects along z
     assert abs(out[0].nodes[0, 2] - line.nodes[0, 2]) > 1e-3
 
@@ -211,7 +211,7 @@ def test_step_clips_exiting_nodes():
     line = straight_line(x0=1.5)
     params = DynamicsParams(Gamma=0.0, time_step=0.05, steps=3,
                             external_force=np.array([1.0, 0.0, 0.0]))
-    out, _, clips = step_lines([line], DisclinationField([]), params, EXTENTS)
+    out, _, clips = run_steps([line], DisclinationField([]), params, EXTENTS)
     assert clips and clips[0].line_id == "L"
     assert not out     # every node exits together
 
@@ -229,7 +229,7 @@ def _endpoint_after(gamma, dt=0.02, steps=50):
     disc = DisclinationField([DisclinationSource((0.1, 0.0), 0.2, 0.15)])
     params = DynamicsParams(Gamma=gamma, time_step=dt, steps=steps,
                             external_force=np.array([0.4, 0.0, 0.0]))
-    out, _, _ = step_lines([line], disc, params, EXTENTS)
+    out, _, _ = run_steps([line], disc, params, EXTENTS)
     return out[0].nodes[0]
 
 
@@ -356,16 +356,17 @@ def test_stacked_step_bit_equal_to_per_node_solve():
             Gamma=rng.uniform(0.0, 3.0), time_step=0.01, steps=1,
             force_law=(CROSS_PRODUCT, DERIVATION_CONSISTENT)[trial % 2],
             external_force=rng.normal(scale=0.5, size=3))
-        out, diags, clips = step_lines(lines, disc, params)
+        out, node_step, clips = step_lines(lines, disc, params)
         rows, moved = _per_node_step(lines, disc, params)
-        assert not clips and len(diags) == len(rows)
-        for d, (line_id, k, pos, v, fm, tr) in zip(diags, rows):
-            assert (d.step, d.line_id, d.node) == (0, line_id, k)
-            assert _bits(d.position) == _bits(pos)
-            assert _bits(d.velocity) == _bits(v)
-            assert _bits(d.f_ext) == _bits(params.external_force)
-            assert _bits(d.f_magnus) == _bits(fm)
-            assert _bits(d.transversality) == _bits(tr)
+        assert not clips and len(node_step) == len(rows)
+        for i, (line_id, k, pos, v, fm, tr) in enumerate(rows):
+            assert (node_step.line_ids[i], node_step.node[i]) \
+                == (line_id, k)
+            assert _bits(node_step.position[i]) == _bits(pos)
+            assert _bits(node_step.velocity[i]) == _bits(v)
+            assert _bits(node_step.f_ext[i]) == _bits(params.external_force)
+            assert _bits(node_step.f_magnus[i]) == _bits(fm)
+            assert _bits(node_step.transversality[i]) == _bits(tr)
         assert [l.id for l in out] == [l.id for l in lines]
         for line, new in zip(out, moved):
             assert _bits(line.nodes) == _bits(new)
@@ -391,7 +392,7 @@ def test_step_rejects_non_finite_velocity():
                             force_law=DERIVATION_CONSISTENT,
                             external_force=np.array([0.3, 0.0, 0.0]))
     with np.errstate(all="ignore"), pytest.raises(ValueError) as err:
-        step_lines([line], disc, params, EXTENTS)
+        run_steps([line], disc, params, EXTENTS)
     assert "non-finite dynamics at step 0: line 'L' node 0 " in str(err.value)
 
 

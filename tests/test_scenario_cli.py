@@ -202,15 +202,14 @@ def test_cli_verify_defect_free_exact(tmp_path):
     assert report["passed"]
 
 
-def test_cli_verify_builds_each_grid_once(tmp_path, monkeypatch):
-    """verify on the defect-free scenario builds torsion and curvature once
-    per grid (base, fine and 4D embedding) and the coframe once per 3D
-    grid. Every binding of each builder in the package is counted."""
-    calls = dict.fromkeys(("torsion", "curvature", "build_coframe"), 0)
+def count_calls(monkeypatch, source, names):
+    """Count calls of the named functions of module `source` through every
+    binding of them in the package; returns the live {name: count} dict."""
+    calls = dict.fromkeys(names, 0)
     modules = [m for n, m in sys.modules.items()
                if n == "defectgeom" or n.startswith("defectgeom.")]
-    for name in calls:
-        orig = getattr(dg.defects, name)
+    for name in names:
+        orig = getattr(source, name)
 
         def counted(*args, _orig=orig, _name=name):
             calls[_name] += 1
@@ -220,9 +219,27 @@ def test_cli_verify_builds_each_grid_once(tmp_path, monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is orig:
                     monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+def test_cli_verify_builds_each_grid_once(tmp_path, monkeypatch):
+    """verify on the defect-free scenario builds torsion and curvature once
+    per grid (base, fine and 4D embedding) and the coframe once per 3D
+    grid. Every binding of each builder in the package is counted."""
+    calls = count_calls(monkeypatch, dg.defects,
+                        ("torsion", "curvature", "build_coframe"))
     code, _ = run_cli(tmp_path, "verify", SCENARIOS / "defect_free.json")
     assert code == 0
     assert calls == {"torsion": 3, "curvature": 3, "build_coframe": 2}
+
+
+def test_cli_simulate_calls_step_lines_once_per_step(tmp_path, monkeypatch):
+    """simulate advances the lines through the public step_lines, once per
+    step of the scenario (40 in magnus.json)."""
+    calls = count_calls(monkeypatch, dg.dynamics, ("step_lines",))
+    code, _ = run_cli(tmp_path, "simulate", SCENARIOS / "magnus.json")
+    assert code == 0
+    assert calls == {"step_lines": 40}
 
 
 def test_cli_resolution_scale(tmp_path):
@@ -352,6 +369,17 @@ def test_cli_verify_zero_screw_charge_exit_1(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "verify", write_scenario(tmp_path, doc))
     assert code == 1
     assert "$.defects[0]: charge must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [5, "ab"])
+def test_cli_disclination_sources_must_be_a_list(tmp_path, capsys, value):
+    doc = json.loads((SCENARIOS / "magnus.json").read_text())
+    doc["dynamics"]["disclination_sources"] = value
+    code, out = run_cli(tmp_path, "simulate", write_scenario(tmp_path, doc))
+    assert code == 1
+    assert "$.dynamics.disclination_sources: expected a list" \
+        in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
 
 
 def test_cli_simulate_non_finite_dynamics_exit_3(tmp_path, capsys):
