@@ -132,6 +132,10 @@ def _write_ray_profile(path, perturbation, scenario, grid):
     pts[:, 2] = _mid_z(grid)
     vals = perturbation.sample(pts, order=3)
     mag = np.sqrt(np.sum(vals * vals, axis=(0, 1)))
+    bad = ~np.isfinite(radii * mag)
+    if bad.any():
+        raise ValueError(f"non-finite perturbation magnitude in {path.name} "
+                         f"at r = {radii[bad][0]:.17g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("r,perturbation_mag,r_times_mag\n")
         for rr, m in zip(radii, mag):

@@ -119,7 +119,8 @@ def field_norms(f: FormField, boundary_margin: float = 0.0,
     mask = interior_mask(f.grid, boundary_margin, exclude_tubes)
     flat = f.coeffs.reshape((-1,) + f.grid.resolution)
     sq = np.zeros(f.grid.resolution)
-    for m in range(flat.shape[0]):
+    # a +-0 row adds +0.0 to a sum of squares that is never -0.0
+    for m in np.flatnonzero(f._nonzero):
         sq += flat[m] * flat[m]
     sel = sq[mask]
     if sel.size == 0:
@@ -146,6 +147,7 @@ def embed_static_4d(fields: CartanFields) -> CartanFields:
     Fields become w-independent, e^4 = dw and all new connection blocks
     vanish, so 4D diagnostics see the same geometry with consistent degrees.
     The 4D torsion and curvature are built once, by the returned bundle.
+    Rows that hold only +0.0 are not copied: the 4D arrays start at +0.0.
     """
     e, omega = fields.e, fields.omega
     g3 = e.grid
@@ -155,23 +157,27 @@ def embed_static_4d(fields: CartanFields) -> CartanFields:
     g4 = GridSpec(tuple(g3.extents) + ((0.0, 4 * hw),),
                   tuple(g3.resolution) + (4,))
 
-    def lift(arr3):
-        return np.broadcast_to(arr3[..., None], arr3.shape + (4,)).copy()
+    def lift(src, value_type, slots):
+        """np.zeros 4D coefficients with each 3D block s3 of src copied
+        along w into block s4, and the mask of rows written."""
+        shape = _coeff_shape(g4, 1, value_type)
+        out = np.zeros(shape)
+        written = np.zeros(shape[:2], bool)
+        for s3, s4 in slots:
+            for c in range(3):
+                if src._nonzero[s3, c] or src._negzero[s3, c]:
+                    out[s4, c] = src.coeffs[s3, c][..., None]
+                    written[s4, c] = True
+        return out, written
 
-    e4 = np.zeros(_coeff_shape(g4, 1, VECTOR))
-    for a in range(3):
-        for c in range(3):
-            e4[a, c] = lift(e.coeffs[a, c])
+    e4, e_rows = lift(e, VECTOR, [(a, a) for a in range(3)])
     e4[3, 3] = 1.0
-    om4 = np.zeros(_coeff_shape(g4, 1, ANTISYM))
-    pairs3 = antisym_pairs(3)
+    e_rows[3, 3] = True
     pairs4 = antisym_pairs(4)
-    for p3, (a, b) in enumerate(pairs3):
-        p4 = pairs4.index((a, b))
-        for c in range(3):
-            om4[p4, c] = lift(omega.coeffs[p3, c])
-    return CartanFields(FormField(g4, 1, VECTOR, e4),
-                        FormField(g4, 1, ANTISYM, om4))
+    om4, om_rows = lift(omega, ANTISYM, [(p3, pairs4.index(ab)) for p3, ab
+                                         in enumerate(antisym_pairs(3))])
+    return CartanFields(FormField._from_rows(g4, 1, VECTOR, e4, e_rows),
+                        FormField._from_rows(g4, 1, ANTISYM, om4, om_rows))
 
 
 # ---------------------------------------------------------------------------

@@ -54,10 +54,14 @@ class GridSpec:
         if self.dim not in (2, 3, 4):
             raise ValueError(f"dimension must be 2, 3 or 4, got {self.dim}")
         for (lo, hi), n in zip(extents, resolution):
-            if not (np.isfinite(lo) and np.isfinite(hi) and hi > lo):
-                raise ValueError(f"extent [{lo}, {hi}] must have positive length")
+            if not (np.isfinite(hi - lo) and hi > lo):
+                raise ValueError(f"extent [{lo}, {hi}] must have a finite "
+                                 "positive length")
             if n < 4:
                 raise ValueError(f"resolution {n} < 4")
+            if (hi - lo) / n == 0:
+                raise ValueError(f"extent [{lo}, {hi}] over {n} cells has "
+                                 "zero spacing")
 
     @property
     def dim(self) -> int:
@@ -172,12 +176,31 @@ class FormField:
       vector  -> (n, ncomp, *resolution)
       antisym -> (n(n-1)/2, ncomp, *resolution), lower-triangle pairs
     with ncomp = C(dim, k).
+
+    Per (frame slot, component) row, the private masks `_nonzero` (some
+    entry is not +-0) and `_negzero` (all +-0, at least one -0.0) let the
+    operations skip rows whose result is +0.0 bit for bit.
     """
 
     __slots__ = ("grid", "degree", "value_type", "coeffs", "_nonzero",
-                 "_spline_cache")
+                 "_negzero", "_spline_cache")
 
     def __init__(self, grid: GridSpec, degree: int, value_type: str, coeffs: np.ndarray):
+        self._set(grid, degree, value_type, coeffs, None)
+
+    @classmethod
+    def _from_rows(cls, grid, degree, value_type, coeffs, written) -> "FormField":
+        """A field whose coeffs came from np.zeros and whose (frame slot,
+        component) rows outside the boolean mask `written` were never written.
+
+        Those rows are +0.0 and are not scanned, so pages that no operation
+        touched stay unmapped zero pages.
+        """
+        field = cls.__new__(cls)
+        field._set(grid, degree, value_type, coeffs, written)
+        return field
+
+    def _set(self, grid, degree, value_type, coeffs, written):
         if not 0 <= degree <= grid.dim:
             raise ValueError(f"degree {degree} out of range for dim {grid.dim}")
         if value_type not in (SCALAR, VECTOR, ANTISYM):
@@ -186,14 +209,25 @@ class FormField:
         coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
         if coeffs.shape != shape:
             raise ValueError(f"coefficient shape {coeffs.shape} != expected {shape}")
-        # per (frame slot, component) row: min and max propagate NaN and
-        # +-inf, and both are 0 exactly when every entry is +0.0 or -0.0
-        rows = coeffs.reshape(shape[:-grid.dim] + (-1,))
-        lo, hi = rows.min(axis=-1), rows.max(axis=-1)
-        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-            raise ValueError("non-finite coefficients")
+        lead = shape[:-grid.dim]
+        rows = coeffs.reshape((-1, int(np.prod(grid.resolution))))
+        nonzero = np.zeros(len(rows), bool)
+        negzero = np.zeros(len(rows), bool)
+        for m in (range(len(rows)) if written is None
+                  else np.flatnonzero(written)):
+            # min and max propagate NaN and +-inf, and both are 0 exactly
+            # when every entry is +0.0 or -0.0; the largest bit pattern of
+            # such a row is nonzero exactly when it holds a -0.0
+            lo, hi = rows[m].min(), rows[m].max()
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError("non-finite coefficients")
+            if lo != 0 or hi != 0:
+                nonzero[m] = True
+            else:
+                negzero[m] = rows[m].view(np.uint64).max() != 0
         coeffs.setflags(write=False)
-        self._nonzero = (lo != 0) | (hi != 0)
+        self._nonzero = nonzero.reshape(lead)
+        self._negzero = negzero.reshape(lead)
         self.grid = grid
         self.degree = degree
         self.value_type = value_type
@@ -204,7 +238,9 @@ class FormField:
 
     @classmethod
     def zeros(cls, grid: GridSpec, degree: int, value_type: str = SCALAR) -> "FormField":
-        return cls(grid, degree, value_type, np.zeros(_coeff_shape(grid, degree, value_type)))
+        shape = _coeff_shape(grid, degree, value_type)
+        return cls._from_rows(grid, degree, value_type, np.zeros(shape),
+                              np.zeros(shape[:-grid.dim], bool))
 
     # -- component access ---------------------------------------------------
 
@@ -243,24 +279,49 @@ class FormField:
 
     # -- arithmetic (pure, grid/degree/type must match) ----------------------
 
-    def _like(self, coeffs) -> "FormField":
-        return FormField(self.grid, self.degree, self.value_type, coeffs)
+    def _rowwise(self, ufunc, other, rows) -> "FormField":
+        """ufunc(self, other) on the rows in the mask `rows` only.
+
+        Every other row is left as the +0.0 of np.zeros, which must be what
+        the ufunc gives there: the callers pass every row that is nonzero,
+        or whose +-0 entries the ufunc can turn into a -0.0 or a non-finite
+        value.
+        """
+        out = np.zeros(self.coeffs.shape)
+        dst = out.reshape((rows.size, -1))
+        x = self.coeffs.reshape(dst.shape)
+        y = other.coeffs.reshape(dst.shape) if isinstance(other, FormField) \
+            else None
+        for m in np.flatnonzero(rows):
+            ufunc(x[m], other if y is None else y[m], out=dst[m])
+        return FormField._from_rows(self.grid, self.degree, self.value_type,
+                                    out, rows)
 
     def __add__(self, other: "FormField") -> "FormField":
         self._check_same(other)
-        return self._like(self.coeffs + other.coeffs)
+        # +-0 + +-0 is +0.0 unless both are -0.0
+        return self._rowwise(np.add, other, self._nonzero | other._nonzero
+                             | (self._negzero & other._negzero))
 
     def __sub__(self, other: "FormField") -> "FormField":
         self._check_same(other)
-        return self._like(self.coeffs - other.coeffs)
+        # +-0 - +-0 is +0.0 unless the first is -0.0
+        return self._rowwise(np.subtract, other, self._nonzero
+                             | other._nonzero | self._negzero)
 
     def __mul__(self, scalar: float) -> "FormField":
-        return self._like(self.coeffs * float(scalar))
+        scalar = float(scalar)
+        rows = self._nonzero | self._negzero
+        # +0.0 * s is +0.0 only for a finite s with a clear sign bit; a
+        # non-finite s makes every row non-finite, which the scan rejects
+        if not np.isfinite(scalar) or np.signbit(scalar):
+            rows = np.ones_like(rows)
+        return self._rowwise(np.multiply, scalar, rows)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FormField":
-        return self._like(-self.coeffs)
+        return FormField(self.grid, self.degree, self.value_type, -self.coeffs)
 
     def _check_same(self, other):
         if not isinstance(other, FormField):
@@ -416,6 +477,7 @@ def _frame_sum(grid, degree: int, value_type: str, terms) -> FormField:
     """
     shape = _coeff_shape(grid, degree, value_type)
     out = np.zeros(shape).reshape((-1,) + shape[-grid.dim - 1:])
+    written = np.zeros(out.shape[:2], bool)
     for row, sign, x, x_slot, y, y_slot in terms:
         xi, xs = x._frame_slot(x_slot)
         yi, ys = y._frame_slot(y_slot)
@@ -428,7 +490,9 @@ def _frame_sum(grid, degree: int, value_type: str, terms) -> FormField:
             out[row] += prod
         else:
             out[row] -= prod
-    return FormField(grid, degree, value_type, out.reshape(shape))
+        written[row] = True
+    return FormField._from_rows(grid, degree, value_type, out.reshape(shape),
+                                written.reshape(shape[:-grid.dim]))
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
@@ -511,6 +575,7 @@ def exterior_derivative(a: FormField) -> FormField:
     flat = a.coeffs.reshape((-1, len(in_idx)) + grid.resolution)
     nonzero = a._nonzero.reshape(flat.shape[:2])
     out = np.zeros((flat.shape[0], len(out_components)) + grid.resolution)
+    written = np.zeros(out.shape[:2], bool)
     h = grid.spacing
     for io, K in enumerate(out_components):
         for pos, j in enumerate(K):
@@ -521,20 +586,35 @@ def exterior_derivative(a: FormField) -> FormField:
                     out[s, io] += grad
                 else:
                     out[s, io] -= grad
+                written[s, io] = True
     shape = _coeff_shape(grid, k + 1, a.value_type)
-    return FormField(grid, k + 1, a.value_type, out.reshape(shape))
+    return FormField._from_rows(grid, k + 1, a.value_type, out.reshape(shape),
+                                written.reshape(shape[:-grid.dim]))
 
 
 def hodge_star(a: FormField) -> FormField:
-    """Euclidean Hodge dual; orientation dx^dy^dz(^dw) positive."""
+    """Euclidean Hodge dual; orientation dx^dy^dz(^dw) positive.
+
+    A row with sign 1 that holds only +0.0 is left unwritten: 1 * +0.0 is
+    +0.0. A row with sign -1 is always written, as -1 * +0.0 is -0.0.
+    """
     grid = a.grid
     table = _hodge_table(grid.dim, a.degree)
     flat = a.coeffs.reshape((-1, len(table)) + grid.resolution)
-    out = np.empty_like(flat)  # the table is a bijection: every slot is written
+    signed = (a._nonzero | a._negzero).reshape(flat.shape[:2])
+    out = np.zeros(flat.shape)
+    written = np.zeros(flat.shape[:2], bool)
     for ii, (io, sign) in enumerate(table):
-        out[:, io] = sign * flat[:, ii]
+        written[:, io] = signed[:, ii] | (sign < 0)
+        for s in np.flatnonzero(written[:, io]):
+            if signed[s, ii]:
+                np.multiply(flat[s, ii], sign, out=out[s, io])
+            else:
+                out[s, io] = -0.0  # -1 * +0.0, without reading the +0.0 row
     shape = _coeff_shape(grid, grid.dim - a.degree, a.value_type)
-    return FormField(grid, grid.dim - a.degree, a.value_type, out.reshape(shape))
+    return FormField._from_rows(grid, grid.dim - a.degree, a.value_type,
+                                out.reshape(shape),
+                                written.reshape(shape[:-grid.dim]))
 
 
 def interior_product(v: np.ndarray, a: FormField) -> FormField:
@@ -595,7 +675,7 @@ def covariant_exterior_derivative(a: FormField, omega: FormField) -> FormField:
 # integration
 # ---------------------------------------------------------------------------
 
-def _quadrature(a: FormField, points, weights, count: int):
+def _quadrature(a: FormField, points, weights):
     """Midpoint sum of a's quintic-spline components against per-component
     weights.
 
@@ -612,7 +692,7 @@ def _quadrature(a: FormField, points, weights, count: int):
     vals = a._sample_rows(points, rows, 5)
     dens = np.einsum("scp,cp->sp", vals.reshape(nslots, len(keep), -1),
                      weights[keep])
-    total = dens.sum(axis=-1) / count
+    total = dens.sum(axis=-1) / len(points)
     if a.value_type == SCALAR:
         return float(total[0])
     if a.value_type == VECTOR:
@@ -644,7 +724,7 @@ def integrate_surface(a: FormField, surface, resolution: int = 256):
     tw = np.asarray(tw)
     jac = np.array([tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]
                     for i, j in a.components])
-    return _quadrature(a, points, jac, resolution * resolution)
+    return _quadrature(a, points, jac)
 
 
 def integrate_loop(a: FormField, loop, resolution: int = 512):
@@ -657,7 +737,7 @@ def integrate_loop(a: FormField, loop, resolution: int = 512):
     points, vel = loop.points_and_velocity(t)
     if not np.all(a.grid.contains(points)):
         raise ValueError("loop exits grid extents")
-    return _quadrature(a, points, np.asarray(vel).T, resolution)
+    return _quadrature(a, points, np.asarray(vel).T)
 
 
 def grid_integral(a: FormField) -> float:

@@ -288,6 +288,46 @@ def test_u1_flux_balance_volume_checks(screw_fields):
         dg.u1_flux_balance(e, Box((0, 0, 0), (0.5, 0.5, 0.3)))
 
 
+def _signed_zero_rows(rng, grid, value_type):
+    """Normal values with one row all +0.0, one all -0.0 and one mixed."""
+    c = rng.normal(size=_coeff_shape(grid, 1, value_type))
+    rows = c.reshape((-1,) + grid.resolution)
+    rows[0] = 0.0
+    rows[1] = -0.0
+    rows[-1] = np.where(rng.random(grid.resolution) < 0.5, 0.0, -0.0)
+    return FormField(grid, 1, value_type, c)
+
+
+def test_embedding_copies_every_row_but_plus_zero_ones():
+    """The 4D arrays start at +0.0, so rows holding only +0.0 are not
+    copied; the result is still every 3D row repeated along w."""
+    rng = np.random.default_rng(17)
+    grid = GridSpec([(-1.0, 1.0)] * 3, [6, 5, 4])
+    e, om = (_signed_zero_rows(rng, grid, t) for t in (VECTOR, ANTISYM))
+    f4 = dg.embed_static_4d(dg.CartanFields(e, om))
+    g4 = f4.e.grid
+    want_e = np.zeros(_coeff_shape(g4, 1, VECTOR))
+    want_e[:3, :3] = e.coeffs[..., None]
+    want_e[3, 3] = 1.0
+    want_om = np.zeros(_coeff_shape(g4, 1, ANTISYM))
+    want_om[:3, :3] = om.coeffs[..., None]     # pairs (1,0), (2,0), (2,1)
+    for got, want in ((f4.e, want_e), (f4.omega, want_om)):
+        assert got.coeffs.tobytes() == want.tobytes()
+        full = FormField(g4, 1, got.value_type, want)
+        assert np.array_equal(got._nonzero, full._nonzero)
+        assert np.array_equal(got._negzero, full._negzero)
+
+
+def test_norms_skip_zero_rows_bit_exactly():
+    rng = np.random.default_rng(18)
+    f = _signed_zero_rows(rng, GridSpec([(-1.0, 1.0)] * 3, [6, 5, 4]), VECTOR)
+    sq = np.zeros(f.grid.resolution)
+    for row in f.coeffs.reshape((-1,) + f.grid.resolution):
+        sq += row * row
+    assert dg.field_norms(f) == (float(np.sqrt(np.mean(sq))),
+                                 float(np.sqrt(np.max(sq))))
+
+
 # ---------------------------------------------------------------------------
 # residual norms plumbing
 # ---------------------------------------------------------------------------

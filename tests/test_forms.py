@@ -56,9 +56,15 @@ def test_grid_validation():
         GridSpec([(0, 1), (0, 1)], [8, 3])           # resolution < 4
     with pytest.raises(ValueError):
         GridSpec([(0, 1), (1, 1)], [8, 8])           # empty extent
+    with pytest.raises(ValueError, match="finite positive length"):
+        GridSpec([(-1e308, 1e308), (0, 1)], [8, 8])  # hi - lo overflows
+    with pytest.raises(ValueError, match="zero spacing"):
+        GridSpec([(0, 1e-323), (0, 1)], [8, 8])      # (hi - lo) / 8 underflows
     g = GridSpec([(0, 2), (0, 1)], [8, 4])
     assert g.spacing == (0.25, 0.25)
     assert np.allclose(g.axis_centers(0)[:2], [0.125, 0.375])
+    g = GridSpec([(0, 1e-300), (-1e307, 1e307)], [8, 8])
+    assert all(np.isfinite(h) and h > 0 for h in g.spacing)
 
 
 def test_field_validation(g3):

@@ -11,11 +11,18 @@ The kernels skip exact-zero (+0.0 or -0.0) frame blocks, source rows and
 sample rows. The references never skip: they wedge every block,
 differentiate every row in one stacked gradient and spline every row.
 
+Whole-field `+`, `-`, scalar `*` and `hodge_star` write only the rows whose
+result can differ from +0.0; they are compared with the plain numpy
+expressions on rows that are all +0.0, all -0.0, mixed +-0 or values, and
+their row masks with a full rescan.
+
 Sample rows that are exactly invariant along some axes are splined on a
 slice over the other axes. That moves values at rounding level, so those
 rows are held to a bound against the full splines; a row one ulp away from
 invariance takes the full spline and is compared byte for byte.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -30,6 +37,7 @@ from defectgeom.forms import (
     FormField,
     GridSpec,
     _coeff_shape,
+    _hodge_table,
     _scalar_wedge,
     antisym_matmul,
     antisym_pairs,
@@ -312,6 +320,108 @@ def test_zero_sample_rows_match_unskipped_splines(order):
         assert zero.any() and not np.signbit(want[zero]).any()
         rows = np.arange(len(flat))
         assert f._sample_rows(points, rows, order).tobytes() == want.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# whole-field +, -, scalar * and Hodge star against plain numpy
+# ---------------------------------------------------------------------------
+
+ROW_KINDS = ("+0", "-0", "mixed", "values")
+
+
+def row_kinds_field(rng, grid, degree, value_type, kinds):
+    """Field whose (frame slot, component) row m is all +0.0, all -0.0, a
+    random mix of +0.0 and -0.0, or rand_field values, by kinds[m]."""
+    c = np.array(rand_field(rng, grid, degree, value_type).coeffs)
+    rows = c.reshape((-1,) + grid.resolution)
+    for row, kind in zip(rows, kinds):
+        if kind == "+0":
+            row[...] = 0.0
+        elif kind == "-0":
+            row[...] = -0.0
+        elif kind == "mixed":
+            row[...] = np.where(rng.random(grid.resolution) < 0.5, 0.0, -0.0)
+    return FormField(grid, degree, value_type, c)
+
+
+def ref_hodge_star(a):
+    """The Hodge star with every row written, as sign * row."""
+    grid = a.grid
+    table = _hodge_table(grid.dim, a.degree)
+    flat = a.coeffs.reshape((-1, len(table)) + grid.resolution)
+    out = np.empty_like(flat)
+    for ii, (io, sign) in enumerate(table):
+        out[:, io] = sign * flat[:, ii]
+    k = grid.dim - a.degree
+    return FormField(grid, k, a.value_type,
+                     out.reshape(_coeff_shape(grid, k, a.value_type)))
+
+
+def _exact_masks(f):
+    """The row masks of an operation's result equal a full rescan's."""
+    full = FormField(f.grid, f.degree, f.value_type, f.coeffs)
+    assert np.array_equal(f._nonzero, full._nonzero)
+    assert np.array_equal(f._negzero, full._negzero)
+
+
+def _operand_pairs(rng, dim):
+    """(a, b) pairs of every degree and value type whose rows run through
+    every pair of row kinds in turn."""
+    grid = _grid(dim)
+    pairs = list(itertools.product(ROW_KINDS, repeat=2))
+    count = 0
+    for degree in range(dim + 1):
+        for value_type in (SCALAR, VECTOR, ANTISYM):
+            lead = _coeff_shape(grid, degree, value_type)[:-dim]
+            kinds = [pairs[(count + m) % len(pairs)]
+                     for m in range(int(np.prod(lead)))]
+            count += len(kinds)
+            yield (row_kinds_field(rng, grid, degree, value_type,
+                                   [k[0] for k in kinds]),
+                   row_kinds_field(rng, grid, degree, value_type,
+                                   [k[1] for k in kinds]))
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_add_and_sub_match_numpy(dim):
+    for a, b in _operand_pairs(np.random.default_rng(900 + dim), dim):
+        for got, want in ((a + b, a.coeffs + b.coeffs),
+                          (a - b, a.coeffs - b.coeffs),
+                          (b - a, b.coeffs - a.coeffs)):
+            assert got.coeffs.tobytes() == want.tobytes()
+            _exact_masks(got)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_scalar_multiple_matches_numpy(dim):
+    for a, _ in _operand_pairs(np.random.default_rng(910 + dim), dim):
+        for s in (0.0, -0.0, 1.0, 2.5, -1.0, -3.25, 1e-310, -1e-310):
+            for got in (a * s, s * a):
+                assert got.coeffs.tobytes() == (a.coeffs * s).tobytes()
+                _exact_masks(got)
+
+
+@pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
+def test_non_finite_scalar_multiple_raises(s):
+    rng = np.random.default_rng(920)
+    grid = _grid(3)
+    zero = [FormField.zeros(grid, 1, VECTOR),
+            row_kinds_field(rng, grid, 2, ANTISYM, ["+0"] * 9)]
+    for a in zero + [b for b, _ in _operand_pairs(rng, 3)]:
+        with np.errstate(invalid="ignore"):     # inf * 0 is NaN
+            with pytest.raises(ValueError, match="non-finite coefficients"):
+                a * s
+            with pytest.raises(ValueError, match="non-finite coefficients"):
+                s * a
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_hodge_star_matches_numpy(dim):
+    for a, b in _operand_pairs(np.random.default_rng(930 + dim), dim):
+        for f in (a, b, a * -1.0):
+            got = hodge_star(f)
+            _same_bytes(got, ref_hodge_star(f))
+            _exact_masks(got)
 
 
 # ---------------------------------------------------------------------------

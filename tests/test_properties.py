@@ -4,6 +4,8 @@ Graded commutativity of `wedge` must hold bit for bit, for the plain product
 and for every framed sum: the wedge plan fuses mirrored component pairs,
 and each framed sum adds its frame terms in the same order for both operand
 orders. The double Hodge star is an exact sign flip for every value type.
+Whole-field +, -, scalar * and the Hodge star give the bytes of the plain
+numpy expressions, and reject exactly the non-finite ones.
 The finite-difference d squares to zero up to rounding and obeys the Leibniz
 rule in the interior for polynomials it differentiates exactly.
 A reconnection ledger is exact on dyadic charges and otherwise drifts by at
@@ -26,6 +28,7 @@ from defectgeom.forms import (
     FormField,
     GridSpec,
     _coeff_shape,
+    _hodge_table,
     exterior_derivative,
     hodge_star,
     wedge,
@@ -119,6 +122,62 @@ def test_double_hodge_star_is_exact_sign(shape, values, seed):
     assert (twice.degree, twice.value_type) == (degree, value_type)
     sign = (-1) ** (degree * (dim - degree))
     assert twice.coeffs.tobytes() == (sign * a.coeffs).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# whole-field arithmetic
+# ---------------------------------------------------------------------------
+
+def _signed_zero_rows(coeffs, grid, rng):
+    """Set about a third of the rows to +0.0 and a third to -0.0."""
+    rows = coeffs.reshape((-1,) + grid.resolution)
+    u = rng.random(len(rows))
+    rows[u < 0.33] = 0.0
+    rows[u > 0.67] = -0.0
+    return coeffs
+
+
+def _agrees_with_numpy(op, want):
+    """op() gives the bytes of the numpy result `want`, or raises the
+    non-finite error exactly when `want` has a non-finite entry."""
+    if np.all(np.isfinite(want)):
+        got = op()
+        assert got.coeffs.tobytes() == want.tobytes()
+        full = FormField(got.grid, got.degree, got.value_type, got.coeffs)
+        assert np.array_equal(got._nonzero, full._nonzero)
+        assert np.array_equal(got._negzero, full._negzero)
+    else:
+        try:
+            op()
+        except ValueError as err:
+            assert str(err) == "non-finite coefficients"
+        else:
+            raise AssertionError("non-finite result accepted")
+
+
+@PROPERTY_SETTINGS
+@given(form_shapes(), VALUES, st.integers(0, 2**32 - 1), st.floats())
+def test_whole_field_arithmetic_is_plain_numpy(shape, values, seed, scalar):
+    """+, -, scalar * and the Hodge star write only rows that can differ
+    from +0.0; their bytes must still be those of the numpy expressions."""
+    dim, degree, value_type = shape
+    grid = GridSpec([(0.0, 1.0)] * dim, [4] * dim)
+    rng = np.random.default_rng(seed)
+    pool = np.array(values + [0.0, -0.0])
+    a, b = (FormField(grid, degree, value_type, _signed_zero_rows(
+        rng.choice(pool, size=_coeff_shape(grid, degree, value_type)), grid,
+        rng)) for _ in range(2))
+    with np.errstate(all="ignore"):
+        _agrees_with_numpy(lambda: a + b, a.coeffs + b.coeffs)
+        _agrees_with_numpy(lambda: a - b, a.coeffs - b.coeffs)
+        _agrees_with_numpy(lambda: a * scalar, a.coeffs * scalar)
+        _agrees_with_numpy(lambda: scalar * b, b.coeffs * scalar)
+    table = _hodge_table(dim, degree)
+    flat = a.coeffs.reshape((-1, len(table)) + grid.resolution)
+    star = np.empty_like(flat)
+    for ii, (io, sign) in enumerate(table):
+        star[:, io] = sign * flat[:, ii]
+    _agrees_with_numpy(lambda: hodge_star(a), star)
 
 
 # ---------------------------------------------------------------------------

@@ -356,6 +356,27 @@ def test_zero_dislocation_charge_is_config_error(kind):
         parse_scenario(minimal_doc(defects=[defect]))
 
 
+@pytest.mark.parametrize("extent, message", [
+    ([-1e308, 1e308], "must have a finite positive length"),
+    ([0.0, 1e-323], "has zero spacing"),
+])
+def test_unusable_grid_extent_reports_path(extent, message):
+    doc = minimal_doc()
+    doc["grid"]["extents"][0] = extent
+    with pytest.raises(ScenarioError, match=r"\$\.grid: .*" + message):
+        parse_scenario(doc)
+
+
+def test_cli_overflowing_grid_extent_exit_1(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "screw.json").read_text())
+    doc["grid"]["extents"][0] = [-1e308, 1e308]
+    code, out = run_cli(tmp_path, "fields", write_scenario(tmp_path, doc))
+    assert code == 1
+    assert "$.grid: extent [-1e+308, 1e+308] must have a finite positive " \
+        "length" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_zero_wedge_charge_parses():
     s = parse_scenario(minimal_doc(defects=[
         {"kind": "wedge", "position": [0.0, 0.0], "charge": 0.0,
@@ -395,6 +416,18 @@ def test_cli_simulate_non_finite_dynamics_exit_3(tmp_path, capsys):
     assert "non-finite dynamics at step 0: line 'screw1' node 0" \
         in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_fields_overflowing_ray_profile_exit_3(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "screw.json").read_text())
+    doc["defects"][0]["charge"] = 1e300
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, "fields", write_scenario(tmp_path, doc))
+    assert code == 3
+    first = 2 * doc["defects"][0]["core_radius"]   # the ray's first radius
+    assert f"non-finite perturbation magnitude in profile_ray.csv at " \
+        f"r = {first:.17g}" in capsys.readouterr().err
+    assert not (out / "profile_ray.csv").exists()
 
 
 def test_cli_simulate_writes_clip_events(tmp_path):
