@@ -39,7 +39,6 @@ from .defects import (
     burgers_vector,
     curvature,
     frank_angles,
-    gaussian_core_density,
     screened_circulation,
     torsion,
 )
@@ -70,16 +69,10 @@ from .dynamics import (
     transport_residual,
 )
 from .network import (
-    BOUNDARY,
-    DefectNetwork,
-    Junction,
-    NetworkEdge,
     ReconnectionEvent,
     charge_ledger,
-    check_junction_balance,
     curvature_screened_flux,
     detect_and_reconnect,
-    network_snapshot,
     reconnect,
 )
 from .io import read_field, write_csv, write_field

@@ -395,17 +395,22 @@ def _write_transversality_map(path, scenario: Scenario, disc):
     theta = disc.theta_at(line.nodes[:1])[0]
     b = np.asarray(line.burgers, float)
     params = scenario.dynamics
+    rows = []
+    for k in range(64):
+        phi = 2 * np.pi * k / 64
+        v = np.array([np.cos(phi), np.sin(phi), 0.0])
+        f = magnus_force(theta, b, v, params.Gamma, params.force_law,
+                         tangent=np.array([0.0, 0.0, 1.0]))
+        rows.append((phi, *v, *f, float(abs(np.dot(f, v))),
+                     transversality_defect(f, v)))
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise ValueError(f"non-finite transversality data in {path.name} "
+                         f"at phi = {rows[np.argmax(bad)][0]:.17g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("phi,vx,vy,vz,fx,fy,fz,f_dot_v_abs,transversality\n")
-        for k in range(64):
-            phi = 2 * np.pi * k / 64
-            v = np.array([np.cos(phi), np.sin(phi), 0.0])
-            f = magnus_force(theta, b, v, params.Gamma, params.force_law,
-                             tangent=np.array([0.0, 0.0, 1.0]))
-            fdotv = float(abs(np.dot(f, v)))
-            fh.write(",".join(f"{x:.17g}" for x in
-                              (phi, *v, *f, fdotv,
-                               transversality_defect(f, v))) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 
 # ---------------------------------------------------------------------------

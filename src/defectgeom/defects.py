@@ -62,12 +62,6 @@ def screened_circulation(x, y, eps):
     return -y * u, x * u
 
 
-def gaussian_core_density(x, y, eps):
-    """g_eps(r): unit-mass Gaussian core profile in the transverse plane."""
-    r2 = x * x + y * y
-    return np.exp(-r2 / (2.0 * eps * eps)) / (2.0 * np.pi * eps * eps)
-
-
 @dataclass(frozen=True)
 class DefectSpec:
     """One canonical defect: kind, transverse core position, charge, core size.

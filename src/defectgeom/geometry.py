@@ -34,7 +34,7 @@ class Disk:
 
     def __post_init__(self):
         center = np.asarray(self.center, float)
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("degenerate surface: radius must be positive")
         if self.axes is None:
             if center.shape[0] < 3:
@@ -114,13 +114,15 @@ class Circle:
 
     def __post_init__(self):
         center = np.asarray(self.center, float)
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("degenerate loop: radius must be positive")
         if self.axes is None:
             e1 = np.zeros(center.shape[0]); e1[0] = 1.0
             e2 = np.zeros(center.shape[0]); e2[1] = 1.0
         else:
             e1, e2 = (_unit(v) for v in self.axes)
+            if abs(np.dot(e1, e2)) > 1e-12:
+                raise ValueError("loop axes must be orthogonal")
         object.__setattr__(self, "center", tuple(center))
         object.__setattr__(self, "axes", (tuple(e1), tuple(e2)))
 
@@ -167,7 +169,7 @@ class Box:
     def __post_init__(self):
         lo = np.asarray(self.lo, float)
         hi = np.asarray(self.hi, float)
-        if lo.shape != hi.shape or np.any(hi <= lo):
+        if lo.shape != hi.shape or not np.all(hi > lo):
             raise ValueError("box must satisfy hi > lo on every axis")
         object.__setattr__(self, "lo", tuple(lo))
         object.__setattr__(self, "hi", tuple(hi))

@@ -13,16 +13,14 @@ An annihilation drops a merged vector of norm at most 1e-12 as well.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import List, Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 from .forms import ANTISYM, SCALAR, VECTOR, FormField, wedge
 from .geometry import Box, box_integral
 from .dynamics import DislocationLine
-
-BOUNDARY = "boundary"
 
 
 def curvature_screened_flux(r: FormField, e: FormField, volume: Box) -> np.ndarray:
@@ -88,98 +86,6 @@ def reconnect(b1, b2, delta_b, volume: Optional[Box] = None,
     return b_f, event
 
 
-@dataclass(frozen=True)
-class Junction:
-    id: str
-    position: tuple
-
-
-@dataclass(frozen=True)
-class NetworkEdge:
-    """Directed network edge; endpoints are junction ids or BOUNDARY."""
-
-    start: Union[str, None]
-    end: Union[str, None]
-    charge: tuple          # Burgers vector or Frank axial vector
-    orientation: int = 1
-
-    def __post_init__(self):
-        if self.orientation not in (1, -1):
-            raise ValueError("orientation must be +1 or -1")
-
-
-@dataclass
-class DefectNetwork:
-    junctions: List[Junction] = dc_field(default_factory=list)
-    dislocation_edges: List[NetworkEdge] = dc_field(default_factory=list)
-    disclination_edges: List[NetworkEdge] = dc_field(default_factory=list)
-
-    def junction_by_id(self, jid: str) -> Junction:
-        for j in self.junctions:
-            if j.id == jid:
-                return j
-        raise KeyError(jid)
-
-    def dangling_disclination_junctions(self) -> list:
-        """Interior junctions where exactly one disclination edge terminates."""
-        degree = {}
-        for edge in self.disclination_edges:
-            for end in (edge.start, edge.end):
-                if end != BOUNDARY and end is not None:
-                    degree[end] = degree.get(end, 0) + 1
-        return sorted(jid for jid, deg in degree.items() if deg == 1)
-
-
-@dataclass(frozen=True)
-class JunctionViolation:
-    junction_id: str
-    kind: str              # "charge" or "structure"
-    magnitude: float
-    detail: str
-
-
-def check_junction_balance(network: DefectNetwork, r: FormField, e: FormField,
-                           volume_side: float = None,
-                           tolerance: float = 1e-6) -> list:
-    """Burgers balance at every junction against the enclosed curvature flux.
-
-    Incident edges count their Burgers vector positively when oriented into
-    the junction. The balance residual is sum(signed b) - integral_V R^e with
-    V a cube of side `volume_side` (default ten times the grid spacing)
-    centered on the junction. Dangling disclination endpoints are reported as
-    structural violations rather than raised.
-    """
-    grid = r.grid
-    if volume_side is None:
-        volume_side = 10.0 * min(grid.spacing)
-    violations = []
-    for jid in network.dangling_disclination_junctions():
-        violations.append(JunctionViolation(
-            junction_id=jid, kind="structure", magnitude=np.inf,
-            detail="disclination edge ends at an interior junction"))
-    half = 0.5 * volume_side
-    for junction in network.junctions:
-        pos = np.asarray(junction.position, float)
-        lo = [max(pos[i] - half, grid.extents[i][0]) for i in range(grid.dim)]
-        hi = [min(pos[i] + half, grid.extents[i][1]) for i in range(grid.dim)]
-        flux = -curvature_screened_flux(r, e, Box(tuple(lo), tuple(hi)))
-        signed = np.zeros(3)
-        for edge in network.dislocation_edges:
-            b = np.asarray(edge.charge, float)
-            if edge.end == junction.id:
-                signed += edge.orientation * b
-            if edge.start == junction.id:
-                signed -= edge.orientation * b
-        residual = signed - flux[: 3]
-        mag = float(np.linalg.norm(residual))
-        if mag > tolerance:
-            violations.append(JunctionViolation(
-                junction_id=junction.id, kind="charge", magnitude=mag,
-                detail=f"signed Burgers sum {signed.tolist()} vs enclosed "
-                       f"flux {flux[:3].tolist()}"))
-    return violations
-
-
 def _smooth_once(nodes: np.ndarray) -> np.ndarray:
     """Single midpoint-averaging pass over interior nodes."""
     if len(nodes) < 3:
@@ -214,13 +120,13 @@ def detect_and_reconnect(lines, threshold: float, r: FormField, e: FormField,
             ni, nj = contact
             point = 0.5 * (lines[i].nodes[ni] + lines[j].nodes[nj])
             grid = r.grid
-            lo = [max(point[k] - threshold, grid.extents[k][0])
-                  for k in range(3)]
-            hi = [min(point[k] + threshold, grid.extents[k][1])
-                  for k in range(3)]
-            delta_b = curvature_screened_flux(r, e, Box(tuple(lo), tuple(hi)))[:3]
+            volume = Box(tuple(max(point[k] - threshold, grid.extents[k][0])
+                               for k in range(3)),
+                         tuple(min(point[k] + threshold, grid.extents[k][1])
+                               for k in range(3)))
+            delta_b = curvature_screened_flux(r, e, volume)[:3]
             b_f, event = reconnect(lines[i].burgers, lines[j].burgers,
-                                   delta_b, Box(tuple(lo), tuple(hi)), step)
+                                   delta_b, volume, step)
             events.append(event)
             line_i, line_j = lines[i], lines[j]
             del lines[j], lines[i]
@@ -283,20 +189,3 @@ def charge_ledger(lines, events) -> np.ndarray:
         total = total - np.asarray(ev.delta_b, float)
     return total
 
-
-def network_snapshot(network: DefectNetwork) -> dict:
-    """JSON-ready snapshot: junctions, edges and their charges."""
-    return {
-        "junctions": [{"id": j.id, "position": list(map(float, j.position))}
-                      for j in network.junctions],
-        "dislocationEdges": [
-            {"start": edge.start, "end": edge.end,
-             "burgers": list(map(float, edge.charge)),
-             "orientation": edge.orientation}
-            for edge in network.dislocation_edges],
-        "disclinationEdges": [
-            {"start": edge.start, "end": edge.end,
-             "frank": list(map(float, edge.charge)),
-             "orientation": edge.orientation}
-            for edge in network.disclination_edges],
-    }

@@ -21,7 +21,7 @@ from defectgeom.forms import (
     interior_product,
     wedge,
 )
-from defectgeom.geometry import Circle, Disk, ParametricLoop, PlanarPatch
+from defectgeom.geometry import Box, Circle, Disk, ParametricLoop, PlanarPatch
 
 
 def const_form(grid, degree, values):
@@ -330,6 +330,19 @@ def test_surface_integral_errors(g3):
                           Disk((0.5, 0.5, 0.5), 0.2))
     with pytest.raises(ValueError, match="degenerate"):
         Disk((0.5, 0.5, 0.5), 0.0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: Box((0, 0, np.nan), (1, 1, 1)), "hi > lo"),
+    (lambda: Disk((0, 0, 0), np.nan), "radius must be positive"),
+    (lambda: Circle((0, 0, 0), np.nan), "radius must be positive"),
+    (lambda: Circle((0, 0, 0), 0.3, axes=((1, 0, 0), (1, 1, 0))),
+     "orthogonal"),
+], ids=["box-nan-lo", "disk-nan-radius", "circle-nan-radius",
+        "circle-skewed-axes"])
+def test_measuring_geometry_rejects_nan_and_skewed_axes(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_loop_integral_exact_form(g3):

@@ -1,5 +1,5 @@
-"""Reconnection algebra, curvature-screened Burgers exchange, junction
-balance, network structure."""
+"""Reconnection algebra, curvature-screened Burgers exchange, line-set
+reconnection and the charge ledger."""
 
 import json
 
@@ -10,12 +10,7 @@ import defectgeom as dg
 from defectgeom.forms import FormField
 from defectgeom.geometry import Box
 from defectgeom.network import (
-    BOUNDARY,
-    DefectNetwork,
-    Junction,
-    NetworkEdge,
     charge_ledger,
-    check_junction_balance,
     curvature_screened_flux,
     detect_and_reconnect,
     reconnect,
@@ -148,74 +143,6 @@ def test_flux_volume_must_stay_inside(wedge_tilted):
 
 
 # ---------------------------------------------------------------------------
-# junction balance
-# ---------------------------------------------------------------------------
-
-def balanced_network():
-    net = DefectNetwork()
-    net.junctions.append(Junction("j0", (0.0, 0.0, 0.0)))
-    for b in ([1, 0, 0], [0, 1, 0], [-1, -1, 0]):
-        net.dislocation_edges.append(
-            NetworkEdge(start=BOUNDARY, end="j0", charge=tuple(b)))
-    return net
-
-
-def test_junction_balanced(grid64):
-    r = FormField.zeros(grid64, 2, "antisym")
-    e = dg.identity_coframe(grid64)
-    violations = check_junction_balance(balanced_network(), r, e,
-                                        volume_side=0.5)
-    assert violations == []
-
-
-def test_junction_violation_detected(grid64):
-    net = balanced_network()
-    net.dislocation_edges[0] = NetworkEdge(
-        start=BOUNDARY, end="j0", charge=(1.0, 0.0, 0.1))
-    r = FormField.zeros(grid64, 2, "antisym")
-    e = dg.identity_coframe(grid64)
-    violations = check_junction_balance(net, r, e, volume_side=0.5)
-    assert len(violations) == 1
-    assert violations[0].kind == "charge"
-    assert abs(violations[0].magnitude - 0.1) < 1e-12
-
-
-def test_junction_screened_by_wedge(wedge_tilted):
-    """A junction sitting on a wedge core balances when its Burgers imbalance
-    equals the enclosed curvature flux."""
-    r, e = wedge_tilted
-    side = 10 * EPS
-    flux = -curvature_screened_flux(r, e, Box((-side / 2, -side / 2,
-                                               -side / 2),
-                                              (side / 2, side / 2, side / 2)))
-    net = DefectNetwork()
-    net.junctions.append(Junction("j0", (0.0, 0.0, 0.0)))
-    net.dislocation_edges.append(NetworkEdge(start=BOUNDARY, end="j0",
-                                             charge=tuple(flux)))
-    violations = check_junction_balance(net, r, e, volume_side=side,
-                                        tolerance=1e-9)
-    assert violations == []
-
-
-def test_dangling_disclination_reported(grid64):
-    net = DefectNetwork()
-    net.junctions.append(Junction("j0", (0.0, 0.0, 0.0)))
-    net.junctions.append(Junction("j1", (0.3, 0.0, 0.0)))
-    net.disclination_edges.append(NetworkEdge(start=BOUNDARY, end="j0",
-                                              charge=(0, 0, 0.1)))
-    net.disclination_edges.append(NetworkEdge(start="j0", end="j1",
-                                              charge=(0, 0, 0.1)))
-    r = FormField.zeros(grid64, 2, "antisym")
-    e = dg.identity_coframe(grid64)
-    violations = check_junction_balance(net, r, e, volume_side=0.4)
-    assert any(v.kind == "structure" and v.junction_id == "j1"
-               for v in violations)
-    # a through-going disclination (degree 2 at j0) is structurally fine
-    assert not any(v.junction_id == "j0" and v.kind == "structure"
-                   for v in violations)
-
-
-# ---------------------------------------------------------------------------
 # detection and reconnection of line sets
 # ---------------------------------------------------------------------------
 
@@ -281,19 +208,6 @@ def test_screened_annihilation_requires_matching_delta(wedge_tilted):
     # the event volume sits at the contact, shifted in z; the flux matches
     # the precomputed one by z-independence of the wedge field
     assert np.max(np.abs(np.asarray(events[0].delta_b) - db)) < 1e-12
-
-
-def test_network_snapshot_shape():
-    net = balanced_network()
-    net.disclination_edges.append(NetworkEdge(start=BOUNDARY, end=BOUNDARY,
-                                              charge=(0, 0, 0.1)))
-    snap = dg.network_snapshot(net)
-    assert snap["junctions"] == [{"id": "j0", "position": [0.0, 0.0, 0.0]}]
-    assert len(snap["dislocationEdges"]) == 3
-    assert snap["dislocationEdges"][0]["burgers"] == [1.0, 0.0, 0.0]
-    assert snap["disclinationEdges"][0]["frank"] == [0.0, 0.0, 0.1]
-    import json
-    json.dumps(snap)     # JSON-ready
 
 
 def test_smoothing_preserves_charges(grid64):

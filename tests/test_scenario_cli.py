@@ -430,6 +430,22 @@ def test_cli_fields_overflowing_ray_profile_exit_3(tmp_path, capsys):
     assert not (out / "profile_ray.csv").exists()
 
 
+def test_cli_simulate_overflowing_transversality_map_exit_3(tmp_path, capsys):
+    doc = json.loads((SCENARIOS / "magnus.json").read_text())
+    dyn = doc["dynamics"]
+    dyn["steps"] = 0
+    dyn["Gamma"] = 1e308
+    dyn["disclination_sources"][0]["frank"] = 100.0
+    dyn["lines"][0]["nodes"] = [[0.15, 0, -0.3], [0.15, 0, 0.3]]
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, "simulate",
+                            write_scenario(tmp_path, doc))
+    assert code == 3
+    assert "non-finite transversality data in fig_transversality.csv at " \
+        "phi = 0\n" in capsys.readouterr().err
+    assert not (out / "fig_transversality.csv").exists()
+
+
 def test_cli_simulate_writes_clip_events(tmp_path):
     doc = minimal_doc(outputs=["trajectories"])
     doc["dynamics"] = {
