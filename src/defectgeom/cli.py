@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
+import time
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -71,7 +73,7 @@ def _prepare_out(out_dir, scenario: Scenario, args):
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     _json_dump(out / "meta.json", meta)
-    return out
+    return out, meta
 
 
 def _measuring_radius(scenario: Scenario, grid, around=None):
@@ -442,28 +444,35 @@ def main(argv=None) -> int:
     if args.resolution_scale < 1:
         print("error: --resolution-scale must be >= 1", file=sys.stderr)
         return EXIT_CONFIG
+    start = time.perf_counter()
     try:
         scenario = load_scenario(args.scenario)
-        out = _prepare_out(args.out, scenario, args)
+        out, meta = _prepare_out(args.out, scenario, args)
     except ScenarioError as err:
         print(f"config error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     try:
         if args.command == "fields":
-            return cmd_fields(scenario, out, args.resolution_scale)
-        if args.command == "charges":
-            return cmd_charges(scenario, out, args.resolution_scale)
-        if args.command == "verify":
-            return cmd_verify(scenario, out, args.resolution_scale)
-        if args.command == "simulate":
-            return cmd_simulate(scenario, out, args.resolution_scale)
-        raise RuntimeError(f"unhandled command {args.command}")
+            code = cmd_fields(scenario, out, args.resolution_scale)
+        elif args.command == "charges":
+            code = cmd_charges(scenario, out, args.resolution_scale)
+        elif args.command == "verify":
+            code = cmd_verify(scenario, out, args.resolution_scale)
+        elif args.command == "simulate":
+            code = cmd_simulate(scenario, out, args.resolution_scale)
+        else:
+            raise RuntimeError(f"unhandled command {args.command}")
     except ScenarioError as err:
         print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
+        code = EXIT_CONFIG
     except Exception as err:  # noqa: BLE001 - map to documented exit code
         print(f"runtime error: {err}", file=sys.stderr)
-        return EXIT_RUNTIME
+        code = EXIT_RUNTIME
+    # a run's cost varies between reruns, so it goes in meta.json only
+    meta["wallSeconds"] = time.perf_counter() - start
+    meta["peakRssMb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    _json_dump(out / "meta.json", meta)
+    return code
 
 
 if __name__ == "__main__":

@@ -24,13 +24,29 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import ndimage
 
 SCALAR = "scalar"
 VECTOR = "vector"
 ANTISYM = "antisym"
 
 AXIS_NAMES = ("x", "y", "z", "w")
+
+
+class _DeferredNdimage:
+    """`scipy.ndimage`, imported on first attribute access.
+
+    The import is most of `import defectgeom`'s cost, and only spline
+    sampling uses it, so a run that samples no field never pays for it.
+    Every spline call looks up `ndimage` in this module when it runs, so a
+    stand-in bound to that name sees every call.
+    """
+
+    def __getattr__(self, name):
+        from scipy import ndimage as module
+        return getattr(module, name)
+
+
+ndimage = _DeferredNdimage()
 
 
 # ---------------------------------------------------------------------------
@@ -716,12 +732,10 @@ def integrate_surface(a: FormField, surface, resolution: int = 256):
     if a.degree != 2:
         raise ValueError("surface integration needs a 2-form")
     u = (np.arange(resolution) + 0.5) / resolution
-    U, W = np.meshgrid(u, u, indexing="ij")
-    points, tu, tw = surface.points_and_tangents(U.ravel(), W.ravel())
+    points, tu, tw = (np.reshape(x, (-1, np.shape(x)[-1])) for x in
+                      surface.points_and_tangents(u[:, None], u[None, :]))
     if not np.all(a.grid.contains(points)):
         raise ValueError("surface exits grid extents")
-    tu = np.asarray(tu)
-    tw = np.asarray(tw)
     jac = np.array([tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]
                     for i, j in a.components])
     return _quadrature(a, points, jac)

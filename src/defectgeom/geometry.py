@@ -3,6 +3,12 @@
 Surfaces map the unit parameter square to physical space and expose analytic
 tangents; loops map the unit interval. Both are consumed by the midpoint
 quadratures in `forms`.
+
+A surface's `points_and_tangents(u, w)` takes parameter arrays that broadcast
+together, such as a column of u and a row of w, and returns the points and
+both tangents with the vector axis last; a tangent may be a read-only
+broadcast view. `ParametricSurface` flattens u and w first, so its callables
+see 1-D arrays and return (m, dim).
 """
 
 from __future__ import annotations
@@ -52,13 +58,13 @@ class Disk:
         c = np.asarray(self.center)
         e1 = np.asarray(self.axes[0])
         e2 = np.asarray(self.axes[1])
-        r = u * self.radius
+        r = (u * self.radius)[..., None]
         ang = 2 * np.pi * w
-        cos, sin = np.cos(ang), np.sin(ang)
-        radial = np.outer(cos, e1) + np.outer(sin, e2)
-        points = c + r[:, None] * radial
-        tu = self.radius * radial
-        tw = 2 * np.pi * r[:, None] * (np.outer(-sin, e1) + np.outer(cos, e2))
+        cos, sin = np.cos(ang)[..., None], np.sin(ang)[..., None]
+        radial = cos * e1 + sin * e2
+        points = c + r * radial
+        tu = np.broadcast_to(self.radius * radial, points.shape)
+        tw = 2 * np.pi * r * (-sin * e1 + cos * e2)
         return points, tu, tw
 
 
@@ -71,12 +77,15 @@ class PlanarPatch:
     span2: tuple
 
     def __post_init__(self):
-        s1 = np.asarray(self.span1, float)
-        s2 = np.asarray(self.span2, float)
+        o, s1, s2 = (np.asarray(v, float)
+                     for v in (self.origin, self.span1, self.span2))
+        for name, v in (("origin", o), ("span1", s1), ("span2", s2)):
+            if not np.all(np.isfinite(v)):
+                raise ValueError(f"planar patch {name} must be finite")
         area2 = np.linalg.norm(np.outer(s1, s2) - np.outer(s2, s1))
         if area2 <= 1e-12 * max(np.linalg.norm(s1) * np.linalg.norm(s2), 1e-300):
             raise ValueError("degenerate surface: spans are parallel")
-        object.__setattr__(self, "origin", tuple(np.asarray(self.origin, float)))
+        object.__setattr__(self, "origin", tuple(o))
         object.__setattr__(self, "span1", tuple(s1))
         object.__setattr__(self, "span2", tuple(s2))
 
@@ -84,7 +93,7 @@ class PlanarPatch:
         o = np.asarray(self.origin)
         s1 = np.asarray(self.span1)
         s2 = np.asarray(self.span2)
-        points = o + np.outer(u, s1) + np.outer(w, s2)
+        points = o + np.multiply.outer(u, s1) + np.multiply.outer(w, s2)
         tu = np.broadcast_to(s1, points.shape).copy()
         tw = np.broadcast_to(s2, points.shape).copy()
         return points, tu, tw
@@ -99,6 +108,7 @@ class ParametricSurface:
     tangent_w_fn: callable
 
     def points_and_tangents(self, u, w):
+        u, w = (np.ravel(x) for x in np.broadcast_arrays(u, w))
         return (np.asarray(self.point_fn(u, w), float),
                 np.asarray(self.tangent_u_fn(u, w), float),
                 np.asarray(self.tangent_w_fn(u, w), float))

@@ -338,8 +338,15 @@ def test_surface_integral_errors(g3):
     (lambda: Circle((0, 0, 0), np.nan), "radius must be positive"),
     (lambda: Circle((0, 0, 0), 0.3, axes=((1, 0, 0), (1, 1, 0))),
      "orthogonal"),
+    (lambda: PlanarPatch((0, 0, 0), (np.nan, 0, 0), (0, 1, 0)),
+     "span1 must be finite"),
+    (lambda: PlanarPatch((0, 0, 0), (1, 0, 0), (0, np.inf, 0)),
+     "span2 must be finite"),
+    (lambda: PlanarPatch((0, np.nan, 0), (1, 0, 0), (0, 1, 0)),
+     "origin must be finite"),
 ], ids=["box-nan-lo", "disk-nan-radius", "circle-nan-radius",
-        "circle-skewed-axes"])
+        "circle-skewed-axes", "patch-nan-span1", "patch-inf-span2",
+        "patch-nan-origin"])
 def test_measuring_geometry_rejects_nan_and_skewed_axes(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -461,3 +468,49 @@ def test_quadrature_samples_only_weighted_components(g3, monkeypatch):
     assert len(calls) == 9
     np.testing.assert_allclose(val, _full_reference(t, points, jac, 32 * 32),
                                rtol=1e-13, atol=1e-15)
+
+
+def test_spline_calls_go_through_forms_ndimage(g3, monkeypatch):
+    """Both spline calls look up the `ndimage` name of `forms` when they run,
+    so a stand-in bound to that name sees every prefilter and every sample,
+    and the values are those of scipy's own functions."""
+    from scipy import ndimage as scipy_ndimage
+    from defectgeom import forms
+    calls = []
+
+    class CountingNdimage:
+        def spline_filter(self, *args, **kwargs):
+            calls.append("spline_filter")
+            return scipy_ndimage.spline_filter(*args, **kwargs)
+
+        def map_coordinates(self, *args, **kwargs):
+            calls.append("map_coordinates")
+            return scipy_ndimage.map_coordinates(*args, **kwargs)
+
+    t = _smooth_vector_form(g3, 2, seed=6)
+    points = np.array([[0.4, 0.5, 0.6], [0.21, 0.73, 0.35]])
+    ref = FormField(g3, 2, VECTOR, t.coeffs).sample(points)
+    monkeypatch.setattr(forms, "ndimage", CountingNdimage())
+    vals = t.sample(points)
+    assert calls.count("spline_filter") == calls.count("map_coordinates") == 9
+    assert np.array_equal(vals, ref)
+
+
+def test_surface_rules_broadcast_like_flat_rules(g3):
+    """Handed a column of u and a row of w, each surface gives the arrays it
+    gives for the flattened meshgrid, bit for bit and in the same order."""
+    u = (np.arange(24) + 0.5) / 24
+    U, W = np.meshgrid(u, u, indexing="ij")
+    tilt = ((1.0, 0.0, 0.4), (-0.4 * 0.3, 1.16, 0.3))
+    surfaces = [Disk((0.5, 0.45, 0.5), 0.35), Disk((0.5, 0.5, 0.5), 0.3, tilt),
+                PlanarPatch((0.05, 0.05, 0.5), (0.9, 0, 0.1), (0, 0.9, 0)),
+                dg.ParametricSurface(
+                    lambda u, w: np.stack([u, w, u * w], -1),
+                    lambda u, w: np.stack([1 + 0 * u, 0 * u, w], -1),
+                    lambda u, w: np.stack([0 * u, 1 + 0 * u, u], -1))]
+    for surface in surfaces:
+        flat = surface.points_and_tangents(U.ravel(), W.ravel())
+        grid = surface.points_and_tangents(u[:, None], u[None, :])
+        for f, b in zip(flat, grid):
+            assert f.shape == (24 * 24, 3)
+            assert np.array_equal(np.reshape(b, (-1, 3)), f)

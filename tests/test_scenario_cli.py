@@ -1,7 +1,10 @@
 """Scenario parsing, CLI subcommands, exit codes, output determinism."""
 
 import json
+import math
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -13,6 +16,7 @@ from defectgeom.cli import main
 from defectgeom.scenario import ScenarioError, parse_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def minimal_doc(**overrides):
@@ -286,6 +290,57 @@ def test_cli_config_roundtrip_reproduces_run(tmp_path):
     _, out2 = run_cli(tmp_path / "b", "charges", out1 / "scenario.json")
     assert (out1 / "charges.json").read_bytes() == \
         (out2 / "charges.json").read_bytes()
+
+
+@pytest.mark.parametrize("command, scenario, loaded", [
+    (None, None, False),
+    ("simulate", "annihilation.json", False),
+    ("verify", "defect_free.json", False),
+    ("charges", "screw.json", True),
+], ids=["import", "simulate", "verify-defect-free", "charges"])
+def test_cli_loads_ndimage_on_first_spline_sample(tmp_path, command,
+                                                  scenario, loaded):
+    """A fresh interpreter imports `scipy.ndimage` only once a command
+    samples a spline: importing the CLI, `simulate` and a defect-free
+    `verify` never do, and `charges` does."""
+    argv = [] if command is None else \
+        ["--out", str(tmp_path / "out"), command, str(SCENARIOS / scenario)]
+    child = ("import sys\n"
+             "from defectgeom.cli import main\n"
+             f"argv = {argv!r}\n"
+             "code = main(argv) if argv else 0\n"
+             "print(code, 'scipy.ndimage' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", child], env=env, check=True,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-1].split() == ["0", str(loaded)]
+
+
+@pytest.mark.parametrize("command, scenario", [
+    ("charges", "screw.json"), ("simulate", "annihilation.json"),
+])
+def test_cli_meta_records_wall_time_and_peak_rss(tmp_path, command, scenario):
+    code, out = run_cli(tmp_path, command, SCENARIOS / scenario)
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert set(meta) == {"version", "command", "resolutionScale",
+                         "timestamp", "wallSeconds", "peakRssMb"}
+    for key in ("wallSeconds", "peakRssMb"):
+        assert math.isfinite(meta[key]) and meta[key] > 0, key
+
+
+def test_cli_meta_records_cost_of_failed_run(tmp_path):
+    """A run that fails after the output directory is prepared still
+    records its cost beside the exit code."""
+    doc = json.loads((SCENARIOS / "magnus.json").read_text())
+    doc["dynamics"].update(steps=0, Gamma=1e308)
+    doc["dynamics"]["disclination_sources"][0]["frank"] = 100.0
+    doc["dynamics"]["lines"][0]["nodes"] = [[0.15, 0, -0.3], [0.15, 0, 0.3]]
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, "simulate", write_scenario(tmp_path, doc))
+    assert code == 3
+    meta = json.loads((out / "meta.json").read_text())
+    assert meta["wallSeconds"] > 0 and meta["peakRssMb"] > 0
 
 
 def test_cli_determinism_bit_identical(tmp_path):
