@@ -438,7 +438,13 @@ def build_parser():
     return parser
 
 
+def _peak_rss_mb() -> float:
+    """Peak resident memory of this process so far, in MB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 def main(argv=None) -> int:
+    rss_at_start = _peak_rss_mb()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.resolution_scale < 1:
@@ -470,7 +476,8 @@ def main(argv=None) -> int:
         code = EXIT_RUNTIME
     # a run's cost varies between reruns, so it goes in meta.json only
     meta["wallSeconds"] = time.perf_counter() - start
-    meta["peakRssMb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    meta["peakRssMb"] = _peak_rss_mb()
+    meta["peakRssMbAtStart"] = rss_at_start
     _json_dump(out / "meta.json", meta)
     return code
 

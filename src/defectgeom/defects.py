@@ -41,7 +41,6 @@ from .forms import (
     require_coframe,
     require_connection,
     zero_connection,
-    _coeff_shape,
 )
 
 SCREW = "screw"
@@ -97,7 +96,7 @@ class DefectSpec:
             if self.burgers_direction is None:
                 raise ValueError("edge defect needs a Burgers direction")
             d = np.asarray(self.burgers_direction, float)
-            if d.shape != (2,) or abs(np.linalg.norm(d) - 1.0) > 1e-9:
+            if d.shape != (2,) or not abs(np.linalg.norm(d) - 1.0) <= 1e-9:
                 raise ValueError("Burgers direction must be a unit 2D vector")
             object.__setattr__(self, "burgers_direction", (float(d[0]), float(d[1])))
         elif self.burgers_direction is not None:
@@ -135,8 +134,8 @@ def build_coframe(config: DefectConfiguration) -> FormField:
     is the identity coframe exactly.
     """
     grid = config.grid
-    X, Y, _ = grid.meshgrid()
-    coeffs = np.array(identity_coframe(grid).coeffs)
+    X, Y = _transverse_centers(grid)
+    rows = list(identity_coframe(grid)._rows)  # row 3 a + i holds e^a_i
     for d in config.defects:
         if d.kind == WEDGE:
             continue
@@ -144,15 +143,15 @@ def build_coframe(config: DefectConfiguration) -> FormField:
                                       d.core_radius)
         pref = d.charge / (2.0 * np.pi)
         if d.kind == SCREW:
-            coeffs[2, 0] += pref * cx
-            coeffs[2, 1] += pref * cy
+            rows[6] = rows[6] + pref * cx
+            rows[7] = rows[7] + pref * cy
         else:
             dx, dy = d.burgers_direction
-            coeffs[0, 0] += pref * dx * cx
-            coeffs[0, 1] += pref * dx * cy
-            coeffs[1, 0] += pref * dy * cx
-            coeffs[1, 1] += pref * dy * cy
-    return FormField(grid, 1, VECTOR, coeffs)
+            rows[0] = rows[0] + pref * dx * cx
+            rows[1] = rows[1] + pref * dx * cy
+            rows[3] = rows[3] + pref * dy * cx
+            rows[4] = rows[4] + pref * dy * cy
+    return FormField._from_rows(grid, 1, VECTOR, rows)
 
 
 def build_connection(config: DefectConfiguration) -> FormField:
@@ -164,15 +163,20 @@ def build_connection(config: DefectConfiguration) -> FormField:
     wedges = [d for d in config.defects if d.kind == WEDGE]
     if not wedges:
         return zero_connection(grid)
-    X, Y, _ = grid.meshgrid()
-    coeffs = np.zeros(_coeff_shape(grid, 1, ANTISYM))
+    X, Y = _transverse_centers(grid)
+    rows = list(zero_connection(grid)._rows)
     slot = antisym_pairs(grid.dim).index((1, 0))  # stores omega^2_1 = -omega^1_2
     for d in wedges:
         cx, cy = screened_circulation(X - d.position[0], Y - d.position[1],
                                       d.core_radius)
-        coeffs[slot, 0] -= d.charge * cx
-        coeffs[slot, 1] -= d.charge * cy
-    return FormField(grid, 1, ANTISYM, coeffs)
+        rows[3 * slot] = rows[3 * slot] - d.charge * cx
+        rows[3 * slot + 1] = rows[3 * slot + 1] - d.charge * cy
+    return FormField._from_rows(grid, 1, ANTISYM, rows)
+
+
+def _transverse_centers(grid: GridSpec) -> tuple:
+    """Cell-centre x and y, shaped to broadcast over one z plane."""
+    return grid.axis_centers(0)[:, None, None], grid.axis_centers(1)[None, :, None]
 
 
 def torsion(e: FormField, omega: FormField) -> FormField:

@@ -39,8 +39,12 @@ class DislocationLine:
         need = 3 if self.closed else 2
         if len(self.nodes) < need:
             raise ValueError(f"line needs at least {need} nodes")
-        seg = np.diff(self.nodes, axis=0)
-        if np.any(np.linalg.norm(seg, axis=1) == 0):
+        seg = np.linalg.norm(np.diff(self.nodes, axis=0), axis=1)
+        # a non-finite node makes a segment next to it inf or NaN, so
+        # finite segment lengths need no pass over the nodes
+        if not seg.max() < np.inf and not np.all(np.isfinite(self.nodes)):
+            raise ValueError("nodes must be finite")
+        if not seg.min() > 0:
             raise ValueError("consecutive nodes must be distinct")
         if self.burgers.shape != (3,) or not np.all(np.isfinite(self.burgers)) \
                 or not np.any(self.burgers):
@@ -77,8 +81,8 @@ class DisclinationSource:
             raise ValueError("position must be a finite transverse point")
         if not np.isfinite(self.frank):
             raise ValueError("Frank angle must be finite")
-        if not self.core_radius > 0:
-            raise ValueError("core radius must be positive")
+        if not (self.core_radius > 0 and np.isfinite(self.core_radius)):
+            raise ValueError("core radius must be positive and finite")
         object.__setattr__(self, "position", (float(pos[0]), float(pos[1])))
 
 
@@ -121,8 +125,8 @@ class DynamicsParams:
     def __post_init__(self):
         if self.force_law not in (CROSS_PRODUCT, DERIVATION_CONSISTENT):
             raise ValueError(f"unknown force law {self.force_law!r}")
-        if not self.time_step > 0:
-            raise ValueError("time step must be positive")
+        if not (self.time_step > 0 and np.isfinite(self.time_step)):
+            raise ValueError("time step must be positive and finite")
         if self.steps < 0:
             raise ValueError("step count must be nonnegative")
         ext = np.array(self.external_force, float)
@@ -353,6 +357,7 @@ def transport_residual(torsion_before, torsion_after, dt, tangent, velocity,
     # index and the coefficient index onto the core direction
     proj = np.zeros(rate.grid.resolution)
     comps = rate.components
+    coeffs = rate.coeffs
     for a in range(rate.grid.dim):
         if tangent[a] == 0:
             continue
@@ -360,7 +365,7 @@ def transport_residual(torsion_before, torsion_after, dt, tangent, velocity,
             axis = comp[0]
             if tangent[axis] == 0:
                 continue
-            proj += tangent[a] * tangent[axis] * rate.coeffs[a, ci]
+            proj += tangent[a] * tangent[axis] * coeffs[a, ci]
     measured = float(np.max(np.abs(proj)))
     v_perp = np.linalg.norm(velocity - np.dot(velocity, tangent) * tangent)
     estimate = float(burgers_mag * v_perp / (np.pi * core_radius ** 2))

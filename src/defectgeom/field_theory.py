@@ -27,7 +27,6 @@ from .forms import (
     grid_integral,
     hodge_star,
     wedge,
-    _coeff_shape,
     _frame_sum,
 )
 from .defects import CartanFields
@@ -117,11 +116,11 @@ def field_norms(f: FormField, boundary_margin: float = 0.0,
                 exclude_tubes=()) -> tuple:
     """(rms, max) of the pointwise component-Euclidean norm over masked cells."""
     mask = interior_mask(f.grid, boundary_margin, exclude_tubes)
-    flat = f.coeffs.reshape((-1,) + f.grid.resolution)
-    sq = np.zeros(f.grid.resolution)
-    # a +-0 row adds +0.0 to a sum of squares that is never -0.0
-    for m in np.flatnonzero(f._nonzero):
-        sq += flat[m] * flat[m]
+    sq = np.zeros((1,) * f.grid.dim)
+    for row in f._rows:
+        sq = sq + row * row
+    # masked on the full grid, so np.mean adds the values in grid order
+    sq = np.broadcast_to(sq, f.grid.resolution)
     sel = sq[mask]
     if sel.size == 0:
         raise ValueError("norm mask excludes every cell")
@@ -146,8 +145,8 @@ def embed_static_4d(fields: CartanFields) -> CartanFields:
 
     Fields become w-independent, e^4 = dw and all new connection blocks
     vanish, so 4D diagnostics see the same geometry with consistent degrees.
-    The 4D torsion and curvature are built once, by the returned bundle.
-    Rows that hold only +0.0 are not copied: the 4D arrays start at +0.0.
+    Each 3D row gains a length-1 w axis without a copy. The 4D torsion and
+    curvature are built once, by the returned bundle.
     """
     e, omega = fields.e, fields.omega
     g3 = e.grid
@@ -156,28 +155,17 @@ def embed_static_4d(fields: CartanFields) -> CartanFields:
     hw = min(g3.spacing)
     g4 = GridSpec(tuple(g3.extents) + ((0.0, 4 * hw),),
                   tuple(g3.resolution) + (4,))
-
-    def lift(src, value_type, slots):
-        """np.zeros 4D coefficients with each 3D block s3 of src copied
-        along w into block s4, and the mask of rows written."""
-        shape = _coeff_shape(g4, 1, value_type)
-        out = np.zeros(shape)
-        written = np.zeros(shape[:2], bool)
-        for s3, s4 in slots:
-            for c in range(3):
-                if src._nonzero[s3, c] or src._negzero[s3, c]:
-                    out[s4, c] = src.coeffs[s3, c][..., None]
-                    written[s4, c] = True
-        return out, written
-
-    e4, e_rows = lift(e, VECTOR, [(a, a) for a in range(3)])
-    e4[3, 3] = 1.0
-    e_rows[3, 3] = True
-    pairs4 = antisym_pairs(4)
-    om4, om_rows = lift(omega, ANTISYM, [(p3, pairs4.index(ab)) for p3, ab
-                                         in enumerate(antisym_pairs(3))])
-    return CartanFields(FormField._from_rows(g4, 1, VECTOR, e4, e_rows),
-                        FormField._from_rows(g4, 1, ANTISYM, om4, om_rows))
+    zero = np.zeros((1,) * 4)
+    e4, om4 = [zero] * 16, [zero] * 24
+    e4[15] = np.ones((1,) * 4)
+    # frame slots 0-2 and the pairs (1,0), (2,0), (2,1) keep their index
+    # in 4D; 3D component c is 4D component c, and every dw component is 0
+    for s in range(3):
+        for c in range(3):
+            e4[4 * s + c] = e._rows[3 * s + c][..., None]
+            om4[4 * s + c] = omega._rows[3 * s + c][..., None]
+    return CartanFields(FormField._from_rows(g4, 1, VECTOR, e4),
+                        FormField._from_rows(g4, 1, ANTISYM, om4))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ Conventions:
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -193,72 +194,76 @@ class FormField:
       antisym -> (n(n-1)/2, ncomp, *resolution), lower-triangle pairs
     with ncomp = C(dim, k).
 
-    Per (frame slot, component) row, the private masks `_nonzero` (some
-    entry is not +-0) and `_negzero` (all +-0, at least one -0.0) let the
-    operations skip rows whose result is +0.0 bit for bit.
+    Each (frame slot, component) row is stored once, as its invariant slice
+    (`_invariant_slice`): length 1 along every axis along which its float64
+    bits never change. Every operation works on these rows with numpy
+    broadcasting, which gives each grid cell the value the full arrays would
+    give. `coeffs` builds the full array.
     """
 
-    __slots__ = ("grid", "degree", "value_type", "coeffs", "_nonzero",
-                 "_negzero", "_spline_cache")
+    __slots__ = ("grid", "degree", "value_type", "_rows", "_spline_cache")
 
     def __init__(self, grid: GridSpec, degree: int, value_type: str, coeffs: np.ndarray):
-        self._set(grid, degree, value_type, coeffs, None)
-
-    @classmethod
-    def _from_rows(cls, grid, degree, value_type, coeffs, written) -> "FormField":
-        """A field whose coeffs came from np.zeros and whose (frame slot,
-        component) rows outside the boolean mask `written` were never written.
-
-        Those rows are +0.0 and are not scanned, so pages that no operation
-        touched stay unmapped zero pages.
-        """
-        field = cls.__new__(cls)
-        field._set(grid, degree, value_type, coeffs, written)
-        return field
-
-    def _set(self, grid, degree, value_type, coeffs, written):
-        if not 0 <= degree <= grid.dim:
-            raise ValueError(f"degree {degree} out of range for dim {grid.dim}")
-        if value_type not in (SCALAR, VECTOR, ANTISYM):
-            raise ValueError(f"unknown value type {value_type!r}")
+        _check_kind(grid, degree, value_type)
         shape = _coeff_shape(grid, degree, value_type)
-        coeffs = np.ascontiguousarray(coeffs, dtype=np.float64)
+        coeffs = np.asarray(coeffs, dtype=np.float64)
         if coeffs.shape != shape:
             raise ValueError(f"coefficient shape {coeffs.shape} != expected {shape}")
-        lead = shape[:-grid.dim]
-        rows = coeffs.reshape((-1, int(np.prod(grid.resolution))))
-        nonzero = np.zeros(len(rows), bool)
-        negzero = np.zeros(len(rows), bool)
-        for m in (range(len(rows)) if written is None
-                  else np.flatnonzero(written)):
-            # min and max propagate NaN and +-inf, and both are 0 exactly
-            # when every entry is +0.0 or -0.0; the largest bit pattern of
-            # such a row is nonzero exactly when it holds a -0.0
-            lo, hi = rows[m].min(), rows[m].max()
-            if not (np.isfinite(lo) and np.isfinite(hi)):
+        self._set(grid, degree, value_type,
+                  coeffs.reshape((-1,) + grid.resolution), copy=True)
+
+    @classmethod
+    def _from_rows(cls, grid, degree, value_type, rows) -> "FormField":
+        """A field from one array per (frame slot, component) row, each of
+        grid.dim axes of full length or 1.
+
+        The rows are fresh results or rows of other fields, so a row that
+        is already its own invariant slice is stored without a copy.
+        """
+        _check_kind(grid, degree, value_type)
+        field = cls.__new__(cls)
+        field._set(grid, degree, value_type, rows, copy=False)
+        return field
+
+    def _set(self, grid, degree, value_type, rows, copy):
+        lead = _coeff_shape(grid, degree, value_type)[:-grid.dim]
+        if len(rows) != int(np.prod(lead)):
+            raise ValueError(f"{len(rows)} rows != expected {lead}")
+        stored = []
+        for row in rows:
+            part = _invariant_slice(row)
+            if copy or part.size < row.size:
+                part = part.copy()
+            if not np.isfinite(part).all():
                 raise ValueError("non-finite coefficients")
-            if lo != 0 or hi != 0:
-                nonzero[m] = True
-            else:
-                negzero[m] = rows[m].view(np.uint64).max() != 0
-        coeffs.setflags(write=False)
-        self._nonzero = nonzero.reshape(lead)
-        self._negzero = negzero.reshape(lead)
+            part.setflags(write=False)
+            stored.append(part)
         self.grid = grid
         self.degree = degree
         self.value_type = value_type
-        self.coeffs = coeffs
+        self._rows = tuple(stored)
         self._spline_cache = {}
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
     def zeros(cls, grid: GridSpec, degree: int, value_type: str = SCALAR) -> "FormField":
-        shape = _coeff_shape(grid, degree, value_type)
-        return cls._from_rows(grid, degree, value_type, np.zeros(shape),
-                              np.zeros(shape[:-grid.dim], bool))
+        lead = _coeff_shape(grid, degree, value_type)[:-grid.dim]
+        return cls._from_rows(grid, degree, value_type,
+                              [_zero_row(grid)] * int(np.prod(lead)))
 
     # -- component access ---------------------------------------------------
+
+    @property
+    def coeffs(self) -> np.ndarray:
+        """The full C-order coefficient array, built from the rows on each
+        read; it is read-only."""
+        out = np.empty(_coeff_shape(self.grid, self.degree, self.value_type))
+        for dst, row in zip(out.reshape((-1,) + self.grid.resolution),
+                            self._rows):
+            dst[...] = row
+        out.setflags(write=False)
+        return out
 
     @property
     def n_frame(self) -> int:
@@ -268,14 +273,20 @@ class FormField:
     def components(self) -> tuple:
         return basis_indices(self.grid.dim, self.degree)
 
+    def _block(self, index: int) -> tuple:
+        """The rows of stored frame slot `index` (0 for a scalar field)."""
+        ncomp = len(self.components)
+        return self._rows[index * ncomp:(index + 1) * ncomp]
+
     def frame_block(self, a: int, b: int = None) -> np.ndarray:
         """All basis components of one frame slot, sign-reflected for antisym."""
         if self.value_type == SCALAR:
             raise ValueError("frame_block needs a framed field")
         i, sign = self._frame_slot(a if self.value_type == VECTOR else (a, b))
         if sign == 0:
-            return np.zeros(self.coeffs.shape[1:])
-        return self.coeffs[i] if sign == 1 else -self.coeffs[i]
+            return np.zeros((len(self.components),) + self.grid.resolution)
+        block = self.coeffs[i]
+        return block if sign == 1 else -block
 
     def _frame_slot(self, frame):
         """(stored block index, sign) of frame slot a (vector) or (a, b)
@@ -295,49 +306,26 @@ class FormField:
 
     # -- arithmetic (pure, grid/degree/type must match) ----------------------
 
-    def _rowwise(self, ufunc, other, rows) -> "FormField":
-        """ufunc(self, other) on the rows in the mask `rows` only.
-
-        Every other row is left as the +0.0 of np.zeros, which must be what
-        the ufunc gives there: the callers pass every row that is nonzero,
-        or whose +-0 entries the ufunc can turn into a -0.0 or a non-finite
-        value.
-        """
-        out = np.zeros(self.coeffs.shape)
-        dst = out.reshape((rows.size, -1))
-        x = self.coeffs.reshape(dst.shape)
-        y = other.coeffs.reshape(dst.shape) if isinstance(other, FormField) \
-            else None
-        for m in np.flatnonzero(rows):
-            ufunc(x[m], other if y is None else y[m], out=dst[m])
+    def _like(self, rows) -> "FormField":
         return FormField._from_rows(self.grid, self.degree, self.value_type,
-                                    out, rows)
+                                    rows)
 
     def __add__(self, other: "FormField") -> "FormField":
         self._check_same(other)
-        # +-0 + +-0 is +0.0 unless both are -0.0
-        return self._rowwise(np.add, other, self._nonzero | other._nonzero
-                             | (self._negzero & other._negzero))
+        return self._like([x + y for x, y in zip(self._rows, other._rows)])
 
     def __sub__(self, other: "FormField") -> "FormField":
         self._check_same(other)
-        # +-0 - +-0 is +0.0 unless the first is -0.0
-        return self._rowwise(np.subtract, other, self._nonzero
-                             | other._nonzero | self._negzero)
+        return self._like([x - y for x, y in zip(self._rows, other._rows)])
 
     def __mul__(self, scalar: float) -> "FormField":
         scalar = float(scalar)
-        rows = self._nonzero | self._negzero
-        # +0.0 * s is +0.0 only for a finite s with a clear sign bit; a
-        # non-finite s makes every row non-finite, which the scan rejects
-        if not np.isfinite(scalar) or np.signbit(scalar):
-            rows = np.ones_like(rows)
-        return self._rowwise(np.multiply, scalar, rows)
+        return self._like([x * scalar for x in self._rows])
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "FormField":
-        return FormField(self.grid, self.degree, self.value_type, -self.coeffs)
+        return self._like([-x for x in self._rows])
 
     def _check_same(self, other):
         if not isinstance(other, FormField):
@@ -358,8 +346,8 @@ class FormField:
         dimension of the other axes: the same values up to rounding, from
         6^2 instead of 6^3 quintic coefficients per point.
         """
-        lead = self.coeffs.shape[: self.coeffs.ndim - self.grid.dim]
-        out = self._sample_rows(points, range(int(np.prod(lead))), order)
+        lead = _coeff_shape(self.grid, self.degree, self.value_type)[:-self.grid.dim]
+        out = self._sample_rows(points, range(len(self._rows)), order)
         return out.reshape(lead + np.shape(points)[:-1])
 
     def _sample_rows(self, points, rows, order: int) -> np.ndarray:
@@ -367,12 +355,11 @@ class FormField:
         rows `rows` at physical points, shape (len(rows),) + points.shape[:-1].
 
         Each row is prefiltered on first use and cached per (order, row), so
-        rows that are never sampled are never filtered. An exactly zero row
+        rows that are never sampled are never filtered. A row of only +-0
         reads +0.0 without a spline, as map_coordinates gives for +-0 data.
-        A row that is exactly invariant along some axes is splined on one
-        slice over the other axes (`_invariant_slice`), which is the full
-        spline up to rounding; a row invariant along every axis reads its
-        value.
+        A row is splined over the axes along which it is stored at full
+        length, which is the full spline up to rounding; a constant row
+        reads its value.
         """
         points = np.asarray(points, float)
         if points.shape[-1] != self.grid.dim:
@@ -382,15 +369,14 @@ class FormField:
         idx = np.empty((self.grid.dim,) + points.shape[:-1])
         for i, h in enumerate(self.grid.spacing):
             idx[i] = (points[..., i] - self.grid.extents[i][0]) / h - 0.5
-        flat = self.coeffs.reshape((-1,) + self.grid.resolution)
-        nonzero = self._nonzero.ravel()
         out = np.zeros((len(rows),) + points.shape[:-1])
         for i, m in enumerate(rows):
-            if not nonzero[m]:
-                continue
             key = (order, m)
             if key not in self._spline_cache:
-                axes, row = _invariant_slice(flat[m])
+                row = self._rows[m]
+                if not row.any():
+                    continue
+                axes, row = _varying_axes(row)
                 if axes and order > 1:
                     row = ndimage.spline_filter(row, order=order, mode="mirror")
                 self._spline_cache[key] = (axes, row)
@@ -401,7 +387,14 @@ class FormField:
         return out
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
+        return max((float(np.max(np.abs(x))) for x in self._rows), default=0.0)
+
+
+def _check_kind(grid: GridSpec, degree: int, value_type: str):
+    if not 0 <= degree <= grid.dim:
+        raise ValueError(f"degree {degree} out of range for dim {grid.dim}")
+    if value_type not in (SCALAR, VECTOR, ANTISYM):
+        raise ValueError(f"unknown value type {value_type!r}")
 
 
 def _coeff_shape(grid: GridSpec, degree: int, value_type: str) -> tuple:
@@ -415,29 +408,41 @@ def _coeff_shape(grid: GridSpec, degree: int, value_type: str) -> tuple:
     return lead + grid.resolution
 
 
-def _invariant_slice(row: np.ndarray):
-    """(axes, slice) of an array: the axes along which it varies, and the
-    array indexed at 0 along every other axis.
+def _zero_row(grid: GridSpec) -> np.ndarray:
+    """A +0.0 row of length 1 on every axis."""
+    return np.zeros((1,) * grid.dim)
 
-    An axis is dropped only if np.diff of the float64 bits is 0 along it, so
-    the array is the slice broadcast back bit for bit; +0.0 and -0.0 differ.
+
+def _invariant_slice(row: np.ndarray) -> np.ndarray:
+    """The array sliced to 0:1 along every axis along which it is invariant.
+
+    An axis is sliced only if the float64 bits along it all equal those of
+    its first slice, so the array is the slice broadcast back bit for bit;
+    +0.0 and -0.0 differ. Most varying axes already differ in their first
+    two entries, which are compared before the slices.
     """
-    bits = row.view(np.uint64)
-    index = [slice(None)] * row.ndim
-    for ax in reversed(range(row.ndim)):  # dropping later axes keeps ax
-        if not np.diff(bits[tuple(index)], axis=ax).any():
-            index[ax] = 0
-    index = tuple(index)
-    return [ax for ax, i in enumerate(index) if isinstance(i, slice)], \
-        row[index]
+    part = row.view(np.uint64)
+    for ax in range(row.ndim):
+        if part.shape[ax] > 1 and \
+                part.item(0) == part.item(math.prod(part.shape[ax + 1:])):
+            first = part[(slice(None),) * ax + (slice(0, 1),)]
+            if (part == first).all():
+                part = first
+    return row[tuple(slice(0, n) for n in part.shape)]
+
+
+def _varying_axes(row: np.ndarray):
+    """(axes, values) of a stored row: the axes it is stored at full length
+    along, and the row without its other, length-1 axes."""
+    axes = [ax for ax, n in enumerate(row.shape) if n > 1]
+    return axes, row.reshape([row.shape[ax] for ax in axes])
 
 
 def identity_coframe(grid: GridSpec) -> FormField:
     """The trivial coframe e^a = dx^a."""
-    coeffs = np.zeros(_coeff_shape(grid, 1, VECTOR))
-    for a in range(grid.dim):
-        coeffs[a, a] = 1.0
-    return FormField(grid, 1, VECTOR, coeffs)
+    rows = [np.full((1,) * grid.dim, float(a == c))
+            for a in range(grid.dim) for c in range(grid.dim)]
+    return FormField._from_rows(grid, 1, VECTOR, rows)
 
 
 def zero_connection(grid: GridSpec) -> FormField:
@@ -461,22 +466,24 @@ def require_coframe(e: FormField) -> FormField:
 # algebraic operations
 # ---------------------------------------------------------------------------
 
-def _scalar_wedge(grid, ka, kb, A, B):
-    """Wedge of plain component stacks A: (Ca, *res), B: (Cb, *res)."""
-    out = np.zeros((len(basis_indices(grid.dim, ka + kb)),) + grid.resolution)
+def _scalar_wedge(grid, ka, kb, A, B) -> list:
+    """Wedge of plain component rows A (C(dim, ka) of them) and B; one row
+    per output component, each accumulated from +0.0."""
+    out = [_zero_row(grid)] * len(basis_indices(grid.dim, ka + kb))
     kind, rows = _wedge_plan(grid.dim, ka, kb)
     if kind == "sym":
         for ia, ib, io, s1, s2 in rows:
             if ia == ib:
-                out[io] += s1 * (A[ia] * B[ib])
+                out[io] = out[io] + s1 * (A[ia] * B[ib])
             else:
-                out[io] += s1 * (A[ia] * B[ib]) + s2 * (A[ib] * B[ia])
+                out[io] = out[io] + (s1 * (A[ia] * B[ib])
+                                     + s2 * (A[ib] * B[ia]))
     else:
         for ia, ib, io, sign in rows:
             if sign == 1:
-                out[io] += A[ia] * B[ib]
+                out[io] = out[io] + A[ia] * B[ib]
             else:
-                out[io] -= A[ia] * B[ib]
+                out[io] = out[io] - A[ia] * B[ib]
     return out
 
 
@@ -488,27 +495,23 @@ def _frame_sum(grid, degree: int, value_type: str, terms) -> FormField:
     scalar result), in term order. Slot reflection signs fold into the term
     sign instead of negating a copy; negation is exact, so the bits equal
     those of wedging the reflected blocks. A term whose slot is an antisym
-    diagonal or an exactly zero block is skipped: its wedge is all +-0, and
-    adding +-0 to an accumulator that starts at +0 changes no bit.
+    diagonal is skipped: its block is zero.
     """
-    shape = _coeff_shape(grid, degree, value_type)
-    out = np.zeros(shape).reshape((-1,) + shape[-grid.dim - 1:])
-    written = np.zeros(out.shape[:2], bool)
+    lead = _coeff_shape(grid, degree, value_type)[:-grid.dim]
+    ncomp = lead[-1]
+    out = [[_zero_row(grid)] * ncomp for _ in range(int(np.prod(lead[:-1])))]
     for row, sign, x, x_slot, y, y_slot in terms:
         xi, xs = x._frame_slot(x_slot)
         yi, ys = y._frame_slot(y_slot)
         sign *= xs * ys
-        if sign == 0 or not (x._nonzero[xi].any() and y._nonzero[yi].any()):
+        if sign == 0:
             continue
-        prod = _scalar_wedge(grid, x.degree, y.degree, x.coeffs[xi],
-                             y.coeffs[yi])
-        if sign > 0:
-            out[row] += prod
-        else:
-            out[row] -= prod
-        written[row] = True
-    return FormField._from_rows(grid, degree, value_type, out.reshape(shape),
-                                written.reshape(shape[:-grid.dim]))
+        prod = _scalar_wedge(grid, x.degree, y.degree, x._block(xi),
+                             y._block(yi))
+        out[row] = [acc + p if sign > 0 else acc - p
+                    for acc, p in zip(out[row], prod)]
+    return FormField._from_rows(grid, degree, value_type,
+                                [r for rows in out for r in rows])
 
 
 def wedge(a: FormField, b: FormField) -> FormField:
@@ -528,17 +531,15 @@ def wedge(a: FormField, b: FormField) -> FormField:
     if k > grid.dim:
         raise ValueError(f"wedge degree {k} exceeds dimension {grid.dim}")
 
-    def sw(A, B):
-        return _scalar_wedge(grid, a.degree, b.degree, A, B)
-
-    if a.value_type == SCALAR and b.value_type == SCALAR:
-        return FormField(grid, k, SCALAR, sw(a.coeffs, b.coeffs))
-    if a.value_type == SCALAR:
-        out = np.stack([sw(a.coeffs, b.coeffs[m]) for m in range(b.coeffs.shape[0])])
-        return FormField(grid, k, b.value_type, out)
-    if b.value_type == SCALAR:
-        out = np.stack([sw(a.coeffs[m], b.coeffs) for m in range(a.coeffs.shape[0])])
-        return FormField(grid, k, a.value_type, out)
+    if a.value_type == SCALAR or b.value_type == SCALAR:
+        framed = b if a.value_type == SCALAR else a
+        nslots = len(framed._rows) // len(framed.components)
+        blocks = [(a._block(0 if a is not framed else m),
+                   b._block(0 if b is not framed else m))
+                  for m in range(nslots)]
+        return FormField._from_rows(grid, k, framed.value_type, [
+            r for A, B in blocks
+            for r in _scalar_wedge(grid, a.degree, b.degree, A, B)])
 
     frames = range(grid.dim)
     if a.value_type == ANTISYM and b.value_type == VECTOR:
@@ -578,8 +579,9 @@ def exterior_derivative(a: FormField) -> FormField:
     """Finite-difference exterior derivative d.
 
     Exact for per-axis polynomial coefficients of degree <= 2 in the interior.
-    Raising degree above the grid dimension is misuse and raises. Exactly
-    zero source rows are not differentiated; their gradient adds only +-0.
+    Raising degree above the grid dimension is misuse and raises. A row
+    stored at length 1 along the derivative axis is constant along it, so
+    its gradient is +0.0 and adds nothing; it is not differentiated.
     """
     grid = a.grid
     if a.degree == grid.dim:
@@ -587,50 +589,32 @@ def exterior_derivative(a: FormField) -> FormField:
                          "there is no degree dim+1")
     k = a.degree
     in_idx = {I: i for i, I in enumerate(basis_indices(grid.dim, k))}
-    out_components = basis_indices(grid.dim, k + 1)
-    flat = a.coeffs.reshape((-1, len(in_idx)) + grid.resolution)
-    nonzero = a._nonzero.reshape(flat.shape[:2])
-    out = np.zeros((flat.shape[0], len(out_components)) + grid.resolution)
-    written = np.zeros(out.shape[:2], bool)
     h = grid.spacing
-    for io, K in enumerate(out_components):
-        for pos, j in enumerate(K):
-            ci = in_idx[K[:pos] + K[pos + 1:]]
-            for s in np.flatnonzero(nonzero[:, ci]):
-                grad = np.gradient(flat[s, ci], h[j], axis=j, edge_order=1)
-                if pos % 2 == 0:
-                    out[s, io] += grad
-                else:
-                    out[s, io] -= grad
-                written[s, io] = True
-    shape = _coeff_shape(grid, k + 1, a.value_type)
-    return FormField._from_rows(grid, k + 1, a.value_type, out.reshape(shape),
-                                written.reshape(shape[:-grid.dim]))
+    rows = []
+    for s in range(len(a._rows) // len(in_idx)):
+        src = a._block(s)
+        for K in basis_indices(grid.dim, k + 1):
+            acc = _zero_row(grid)
+            for pos, j in enumerate(K):
+                row = src[in_idx[K[:pos] + K[pos + 1:]]]
+                if row.shape[j] == 1:
+                    continue
+                grad = np.gradient(row, h[j], axis=j, edge_order=1)
+                acc = acc + grad if pos % 2 == 0 else acc - grad
+            rows.append(acc)
+    return FormField._from_rows(grid, k + 1, a.value_type, rows)
 
 
 def hodge_star(a: FormField) -> FormField:
-    """Euclidean Hodge dual; orientation dx^dy^dz(^dw) positive.
-
-    A row with sign 1 that holds only +0.0 is left unwritten: 1 * +0.0 is
-    +0.0. A row with sign -1 is always written, as -1 * +0.0 is -0.0.
-    """
+    """Euclidean Hodge dual; orientation dx^dy^dz(^dw) positive."""
     grid = a.grid
     table = _hodge_table(grid.dim, a.degree)
-    flat = a.coeffs.reshape((-1, len(table)) + grid.resolution)
-    signed = (a._nonzero | a._negzero).reshape(flat.shape[:2])
-    out = np.zeros(flat.shape)
-    written = np.zeros(flat.shape[:2], bool)
-    for ii, (io, sign) in enumerate(table):
-        written[:, io] = signed[:, ii] | (sign < 0)
-        for s in np.flatnonzero(written[:, io]):
-            if signed[s, ii]:
-                np.multiply(flat[s, ii], sign, out=out[s, io])
-            else:
-                out[s, io] = -0.0  # -1 * +0.0, without reading the +0.0 row
-    shape = _coeff_shape(grid, grid.dim - a.degree, a.value_type)
-    return FormField._from_rows(grid, grid.dim - a.degree, a.value_type,
-                                out.reshape(shape),
-                                written.reshape(shape[:-grid.dim]))
+    rows = [None] * len(a._rows)
+    for s in range(0, len(rows), len(table)):
+        for ii, (io, sign) in enumerate(table):
+            row = a._rows[s + ii]
+            rows[s + io] = row if sign > 0 else -row
+    return FormField._from_rows(grid, grid.dim - a.degree, a.value_type, rows)
 
 
 def interior_product(v: np.ndarray, a: FormField) -> FormField:
@@ -703,7 +687,7 @@ def _quadrature(a: FormField, points, weights):
     """
     ncomp = weights.shape[0]
     keep = np.flatnonzero(np.any(weights != 0, axis=1))
-    nslots = a.coeffs.size // (ncomp * int(np.prod(a.grid.resolution)))
+    nslots = len(a._rows) // ncomp
     rows = (np.arange(nslots)[:, None] * ncomp + keep).ravel()
     vals = a._sample_rows(points, rows, 5)
     dens = np.einsum("scp,cp->sp", vals.reshape(nslots, len(keep), -1),

@@ -40,8 +40,11 @@ class Disk:
 
     def __post_init__(self):
         center = np.asarray(self.center, float)
-        if not self.radius > 0:
-            raise ValueError("degenerate surface: radius must be positive")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("disk center must be finite")
+        if not (self.radius > 0 and np.isfinite(self.radius)):
+            raise ValueError("degenerate surface: radius must be positive "
+                             "and finite")
         if self.axes is None:
             if center.shape[0] < 3:
                 raise ValueError("default disk axes need dim >= 3")
@@ -124,8 +127,11 @@ class Circle:
 
     def __post_init__(self):
         center = np.asarray(self.center, float)
-        if not self.radius > 0:
-            raise ValueError("degenerate loop: radius must be positive")
+        if not np.all(np.isfinite(center)):
+            raise ValueError("circle center must be finite")
+        if not (self.radius > 0 and np.isfinite(self.radius)):
+            raise ValueError("degenerate loop: radius must be positive and "
+                             "finite")
         if self.axes is None:
             e1 = np.zeros(center.shape[0]); e1[0] = 1.0
             e2 = np.zeros(center.shape[0]); e2[1] = 1.0

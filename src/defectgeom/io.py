@@ -25,7 +25,7 @@ from .forms import (
     FormField,
     GridSpec,
     _coeff_shape,
-    _invariant_slice,
+    _varying_axes,
     antisym_pairs,
     basis_indices,
 )
@@ -115,8 +115,9 @@ def write_csv(path, field: FormField) -> None:
     each value is formatted once where its column repeats it. A column whose
     float64 bits are all equal is literal text in the row template (%.17g of
     a finite float holds no '%'). A column that is bit-invariant along some
-    axes, such as a coordinate, is formatted on one slice over the other
-    axes and indexed per row. The remaining columns are formatted per value.
+    axes, such as a coordinate or a field row stored at length 1 along
+    them, is formatted on one slice over the other axes and indexed per
+    row. The remaining columns are formatted per value.
     Rows are written CSV_BLOCK_ROWS at a time with one %-template per block.
     """
     grid = field.grid
@@ -126,8 +127,7 @@ def write_csv(path, field: FormField) -> None:
         for comp in basis_indices(grid.dim, field.degree):
             name = component_label(comp)
             columns.append(f"{fl}_{name}" if fl else name)
-    flat = field.coeffs.reshape((-1,) + grid.resolution)
-    parts += [_invariant_slice(values) for values in flat]
+    parts += [_varying_axes(values) for values in field._rows]
     cells, sources = [], []
     for axes, values in parts:
         if not axes:
@@ -140,7 +140,7 @@ def write_csv(path, field: FormField) -> None:
             cells.append("%.17g")
             sources.append((None, values.ravel()))
     row = ",".join(cells) + "\n"
-    size = flat[0].size
+    size = int(np.prod(grid.resolution))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(columns) + "\n")
         for lo in range(0, size, CSV_BLOCK_ROWS):

@@ -34,7 +34,8 @@ def curvature_screened_flux(r: FormField, e: FormField, volume: Box) -> np.ndarr
     source = wedge(r, e)
     out = np.empty(r.grid.dim)
     for a in range(r.grid.dim):
-        comp = FormField(r.grid, source.degree, SCALAR, source.coeffs[a])
+        comp = FormField._from_rows(r.grid, source.degree, SCALAR,
+                                    source._block(a))
         out[a] = -box_integral(comp, volume)
     return out
 

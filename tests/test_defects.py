@@ -21,6 +21,9 @@ def test_spec_validation():
         dg.DefectSpec("edge", (0, 0), 1.0, 0.05, burgers_direction=(2, 0))
     with pytest.raises(ValueError):
         dg.DefectSpec("screw", (0, 0), 1.0, 0.05, burgers_direction=(1, 0))
+    with pytest.raises(ValueError, match="Burgers direction"):
+        dg.DefectSpec("edge", (0, 0), 1.0, 0.05,
+                      burgers_direction=(np.nan, 0))
 
 
 def test_core_margin_validation(grid64):

@@ -162,6 +162,16 @@ def test_line_validation():
                         np.array([1.0, 0, 0]), closed=True)
 
 
+def test_dynamics_inputs_reject_non_finite_values():
+    with pytest.raises(ValueError, match="nodes must be finite"):
+        DislocationLine(np.array([[0, 0, 0], [0, np.nan, 1]]),
+                        np.array([1.0, 0, 0]))
+    with pytest.raises(ValueError, match="core radius"):
+        DisclinationSource((0.0, 0.0), 0.1, np.inf)
+    with pytest.raises(ValueError, match="time step"):
+        DynamicsParams(Gamma=1.0, time_step=np.inf, steps=1)
+
+
 def test_line_accepts_subnormal_burgers():
     """A subnormal Burgers vector is nonzero although its norm underflows."""
     for b in ([0.0, 0.0, 1.1e-308], [5e-324, 0.0, -0.0]):

@@ -8,6 +8,7 @@ from defectgeom.forms import ANTISYM, VECTOR, FormField, GridSpec, _coeff_shape
 from defectgeom.geometry import Box
 
 from conftest import EPS, EXTENTS
+from test_framed_contractions import assert_rows_are_invariant_slices
 
 
 def test_couplings_validation():
@@ -299,8 +300,8 @@ def _signed_zero_rows(rng, grid, value_type):
 
 
 def test_embedding_copies_every_row_but_plus_zero_ones():
-    """The 4D arrays start at +0.0, so rows holding only +0.0 are not
-    copied; the result is still every 3D row repeated along w."""
+    """Every 3D row is repeated along w: it is stored once, as a view of the
+    3D row with a length-1 w axis, and the new rows are +0.0 or e^4 = dw."""
     rng = np.random.default_rng(17)
     grid = GridSpec([(-1.0, 1.0)] * 3, [6, 5, 4])
     e, om = (_signed_zero_rows(rng, grid, t) for t in (VECTOR, ANTISYM))
@@ -313,9 +314,11 @@ def test_embedding_copies_every_row_but_plus_zero_ones():
     want_om[:3, :3] = om.coeffs[..., None]     # pairs (1,0), (2,0), (2,1)
     for got, want in ((f4.e, want_e), (f4.omega, want_om)):
         assert got.coeffs.tobytes() == want.tobytes()
-        full = FormField(g4, 1, got.value_type, want)
-        assert np.array_equal(got._nonzero, full._nonzero)
-        assert np.array_equal(got._negzero, full._negzero)
+        assert_rows_are_invariant_slices(got)
+    for got, src in ((f4.e, e), (f4.omega, om)):
+        for s in range(3):
+            for c in range(3):
+                assert np.shares_memory(got._rows[4 * s + c], src._rows[3 * s + c])
 
 
 def test_norms_skip_zero_rows_bit_exactly():

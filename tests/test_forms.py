@@ -336,6 +336,10 @@ def test_surface_integral_errors(g3):
     (lambda: Box((0, 0, np.nan), (1, 1, 1)), "hi > lo"),
     (lambda: Disk((0, 0, 0), np.nan), "radius must be positive"),
     (lambda: Circle((0, 0, 0), np.nan), "radius must be positive"),
+    (lambda: Disk((0, 0, 0), np.inf), "radius must be positive and finite"),
+    (lambda: Circle((0, 0, 0), np.inf), "radius must be positive and finite"),
+    (lambda: Disk((0, np.nan, 0), 0.3), "disk center must be finite"),
+    (lambda: Circle((np.nan, 0, 0), 0.3), "circle center must be finite"),
     (lambda: Circle((0, 0, 0), 0.3, axes=((1, 0, 0), (1, 1, 0))),
      "orthogonal"),
     (lambda: PlanarPatch((0, 0, 0), (np.nan, 0, 0), (0, 1, 0)),
@@ -345,6 +349,8 @@ def test_surface_integral_errors(g3):
     (lambda: PlanarPatch((0, np.nan, 0), (1, 0, 0), (0, 1, 0)),
      "origin must be finite"),
 ], ids=["box-nan-lo", "disk-nan-radius", "circle-nan-radius",
+        "disk-inf-radius", "circle-inf-radius", "disk-nan-center",
+        "circle-nan-center",
         "circle-skewed-axes", "patch-nan-span1", "patch-inf-span2",
         "patch-nan-origin"])
 def test_measuring_geometry_rejects_nan_and_skewed_axes(build, message):

@@ -7,14 +7,16 @@ loop each of them used before: wedge the sign-reflected blocks
 (`_ref_block` negates a copy) and add in loop order. Results are compared
 with `tobytes()`, so even the sign of a zero must agree.
 
-The kernels skip exact-zero (+0.0 or -0.0) frame blocks, source rows and
-sample rows. The references never skip: they wedge every block,
-differentiate every row in one stacked gradient and spline every row.
+A field stores each (frame slot, component) row as its invariant slice,
+at length 1 along the axes its bits do not vary along. The kernels do not
+differentiate a row along an axis it is constant along, and read +0.0 for
++-0 sample rows. The references never skip: they wedge every full block,
+differentiate every full row in one stacked gradient and spline every
+row.
 
-Whole-field `+`, `-`, scalar `*` and `hodge_star` write only the rows whose
-result can differ from +0.0; they are compared with the plain numpy
-expressions on rows that are all +0.0, all -0.0, mixed +-0 or values, and
-their row masks with a full rescan.
+Whole-field `+`, `-`, scalar `*` and `hodge_star` are compared with the
+plain numpy expressions on rows that are all +0.0, all -0.0, mixed +-0 or
+values, and each result row with the invariant slice of its full row.
 
 Sample rows that are exactly invariant along some axes are splined on a
 slice over the other axes. That moves values at rounding level, so those
@@ -38,6 +40,7 @@ from defectgeom.forms import (
     GridSpec,
     _coeff_shape,
     _hodge_table,
+    _invariant_slice,
     _scalar_wedge,
     antisym_matmul,
     antisym_pairs,
@@ -72,6 +75,13 @@ def ref_exterior_derivative(a):
     return FormField(grid, k + 1, a.value_type,
                      out.reshape(_coeff_shape(grid, k + 1, a.value_type)))
 
+
+def ref_scalar_wedge(grid, ka, kb, A, B):
+    """The scalar wedge of full component stacks, as one full array."""
+    return np.stack([np.broadcast_to(row, grid.resolution)
+                     for row in _scalar_wedge(grid, ka, kb, A, B)])
+
+
 def _ref_block(f, a, b=None):
     """Frame slot read straight from storage, reflected antisym as a copy."""
     if f.value_type == VECTOR:
@@ -91,8 +101,16 @@ def ref_wedge(a, b):
     ncomp = len(basis_indices(n, k))
 
     def sw(A, B):
-        return _scalar_wedge(grid, a.degree, b.degree, A, B)
+        return ref_scalar_wedge(grid, a.degree, b.degree, A, B)
 
+    if a.value_type == SCALAR and b.value_type == SCALAR:
+        return FormField(grid, k, SCALAR, sw(a.coeffs, b.coeffs))
+    if a.value_type == SCALAR:
+        return FormField(grid, k, b.value_type,
+                         np.stack([sw(a.coeffs, B) for B in b.coeffs]))
+    if b.value_type == SCALAR:
+        return FormField(grid, k, a.value_type,
+                         np.stack([sw(A, b.coeffs) for A in a.coeffs]))
     if a.value_type == ANTISYM and b.value_type == VECTOR:
         out = np.zeros((n, ncomp) + grid.resolution)
         for fa in range(n):
@@ -131,8 +149,9 @@ def ref_antisym_matmul(a, b):
         for fc in range(n):
             if fc == fa or fc == fb:
                 continue
-            out[p] += _scalar_wedge(grid, a.degree, b.degree,
-                                    _ref_block(a, fa, fc), _ref_block(b, fc, fb))
+            out[p] += ref_scalar_wedge(grid, a.degree, b.degree,
+                                       _ref_block(a, fa, fc),
+                                       _ref_block(b, fc, fb))
     return FormField(grid, k, ANTISYM, out)
 
 
@@ -147,11 +166,13 @@ def ref_covariant(a, omega):
     for p, (fa, fb) in enumerate(antisym_pairs(n)):
         for fc in range(n):
             if fc != fa:
-                out[p] += _scalar_wedge(grid, 1, a.degree, _ref_block(omega, fa, fc),
-                                        _ref_block(a, fc, fb))
+                out[p] += ref_scalar_wedge(grid, 1, a.degree,
+                                           _ref_block(omega, fa, fc),
+                                           _ref_block(a, fc, fb))
             if fc != fb:
-                out[p] -= _scalar_wedge(grid, a.degree, 1, _ref_block(a, fa, fc),
-                                        _ref_block(omega, fc, fb))
+                out[p] -= ref_scalar_wedge(grid, a.degree, 1,
+                                           _ref_block(a, fa, fc),
+                                           _ref_block(omega, fc, fb))
     return d + FormField(grid, k, ANTISYM, out)
 
 
@@ -166,8 +187,9 @@ def ref_spin_balance(e, omega, c):
     k = 1 + st.degree
     anti = np.zeros((n * (n - 1) // 2, len(basis_indices(n, k))) + grid.resolution)
     for p, (fa, fb) in enumerate(antisym_pairs(n)):
-        anti[p] = _scalar_wedge(grid, 1, st.degree, e.coeffs[fa], st.coeffs[fb]) \
-            - _scalar_wedge(grid, 1, st.degree, e.coeffs[fb], st.coeffs[fa])
+        anti[p] = ref_scalar_wedge(grid, 1, st.degree, e.coeffs[fa],
+                                   st.coeffs[fb]) \
+            - ref_scalar_wedge(grid, 1, st.degree, e.coeffs[fb], st.coeffs[fa])
     return dstar + c.kappa_el * FormField(grid, k, ANTISYM, anti)
 
 
@@ -196,8 +218,8 @@ def rand_field(rng, grid, degree, value_type):
 
 
 def planted_field(rng, grid, degree, value_type):
-    """rand_field with exact-zero rows planted where the kernels skip them:
-    a whole +0.0 or -0.0 frame slot, and, among the other (frame slot,
+    """rand_field with exact-zero rows planted, stored at length 1 on every
+    axis: a whole +0.0 or -0.0 frame slot, and, among the other (frame slot,
     component) rows, one all +0.0, one all -0.0 and one of only negative
     values (nonzero, though its maximum is below 0)."""
     c = np.array(rand_field(rng, grid, degree, value_type).coeffs)
@@ -217,6 +239,16 @@ def planted_field(rng, grid, degree, value_type):
 def _same_bytes(got, want):
     assert got.degree == want.degree and got.value_type == want.value_type
     assert got.coeffs.tobytes() == want.coeffs.tobytes()
+
+
+def assert_rows_are_invariant_slices(f):
+    """Each stored row is the invariant slice of its full row, in shape
+    and in bytes."""
+    full = f.coeffs.reshape((-1,) + f.grid.resolution)
+    assert len(f._rows) == len(full)
+    for row, values in zip(f._rows, full):
+        want = _invariant_slice(values)
+        assert row.shape == want.shape and row.tobytes() == want.tobytes()
 
 
 def _degree_pairs(dim):
@@ -275,7 +307,7 @@ def test_spin_balance_matches_loops():
 
 
 # ---------------------------------------------------------------------------
-# exact-zero skipping against the unskipped references
+# planted zero rows against the unskipped references
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -287,7 +319,9 @@ def test_zero_block_skips_match_unskipped_references(dim):
                        (ANTISYM, ANTISYM)]:
             a = planted_field(rng, grid, ka, ta)
             b = planted_field(rng, grid, kb, tb)
-            assert not (a._nonzero.all() or b._nonzero.all())
+            for f in (a, b):
+                assert_rows_are_invariant_slices(f)
+                assert any(r.size == 1 and not r.any() for r in f._rows)
             _same_bytes(wedge(a, b), ref_wedge(a, b))
             if ta == tb == ANTISYM:
                 _same_bytes(antisym_matmul(a, b), ref_antisym_matmul(a, b))
@@ -315,7 +349,8 @@ def test_zero_sample_rows_match_unskipped_splines(order):
         want = np.stack([ndimage.map_coordinates(
             ndimage.spline_filter(row, order=order, mode="mirror"), idx,
             order=order, mode="mirror", prefilter=False) for row in flat])
-        zero = ~f._nonzero.ravel()
+        assert_rows_are_invariant_slices(f)
+        zero = np.array([not r.any() for r in f._rows])
         # splines of +-0 data read +0.0, which the skipped rows write
         assert zero.any() and not np.signbit(want[zero]).any()
         rows = np.arange(len(flat))
@@ -357,13 +392,6 @@ def ref_hodge_star(a):
                      out.reshape(_coeff_shape(grid, k, a.value_type)))
 
 
-def _exact_masks(f):
-    """The row masks of an operation's result equal a full rescan's."""
-    full = FormField(f.grid, f.degree, f.value_type, f.coeffs)
-    assert np.array_equal(f._nonzero, full._nonzero)
-    assert np.array_equal(f._negzero, full._negzero)
-
-
 def _operand_pairs(rng, dim):
     """(a, b) pairs of every degree and value type whose rows run through
     every pair of row kinds in turn."""
@@ -389,7 +417,7 @@ def test_add_and_sub_match_numpy(dim):
                           (a - b, a.coeffs - b.coeffs),
                           (b - a, b.coeffs - a.coeffs)):
             assert got.coeffs.tobytes() == want.tobytes()
-            _exact_masks(got)
+            assert_rows_are_invariant_slices(got)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
@@ -398,7 +426,7 @@ def test_scalar_multiple_matches_numpy(dim):
         for s in (0.0, -0.0, 1.0, 2.5, -1.0, -3.25, 1e-310, -1e-310):
             for got in (a * s, s * a):
                 assert got.coeffs.tobytes() == (a.coeffs * s).tobytes()
-                _exact_masks(got)
+                assert_rows_are_invariant_slices(got)
 
 
 @pytest.mark.parametrize("s", [np.inf, -np.inf, np.nan])
@@ -421,7 +449,7 @@ def test_hodge_star_matches_numpy(dim):
         for f in (a, b, a * -1.0):
             got = hodge_star(f)
             _same_bytes(got, ref_hodge_star(f))
-            _exact_masks(got)
+            assert_rows_are_invariant_slices(got)
 
 
 # ---------------------------------------------------------------------------

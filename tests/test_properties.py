@@ -20,7 +20,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from defectgeom.field_theory import interior_mask
+from defectgeom.field_theory import embed_static_4d, interior_mask
 from defectgeom.forms import (
     ANTISYM,
     SCALAR,
@@ -29,11 +29,22 @@ from defectgeom.forms import (
     GridSpec,
     _coeff_shape,
     _hodge_table,
+    antisym_matmul,
+    antisym_pairs,
+    covariant_exterior_derivative,
     exterior_derivative,
     hodge_star,
     wedge,
 )
 from defectgeom.network import charge_ledger, reconnect
+from test_framed_contractions import (
+    assert_rows_are_invariant_slices,
+    ref_antisym_matmul,
+    ref_covariant,
+    ref_exterior_derivative,
+    ref_hodge_star,
+    ref_wedge,
+)
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None,
                              derandomize=True, database=None)
@@ -143,9 +154,7 @@ def _agrees_with_numpy(op, want):
     if np.all(np.isfinite(want)):
         got = op()
         assert got.coeffs.tobytes() == want.tobytes()
-        full = FormField(got.grid, got.degree, got.value_type, got.coeffs)
-        assert np.array_equal(got._nonzero, full._nonzero)
-        assert np.array_equal(got._negzero, full._negzero)
+        assert_rows_are_invariant_slices(got)
     else:
         try:
             op()
@@ -158,8 +167,8 @@ def _agrees_with_numpy(op, want):
 @PROPERTY_SETTINGS
 @given(form_shapes(), VALUES, st.integers(0, 2**32 - 1), st.floats())
 def test_whole_field_arithmetic_is_plain_numpy(shape, values, seed, scalar):
-    """+, -, scalar * and the Hodge star write only rows that can differ
-    from +0.0; their bytes must still be those of the numpy expressions."""
+    """+, -, scalar * and the Hodge star work on the stored rows; their
+    bytes must be those of the numpy expressions on the full arrays."""
     dim, degree, value_type = shape
     grid = GridSpec([(0.0, 1.0)] * dim, [4] * dim)
     rng = np.random.default_rng(seed)
@@ -178,6 +187,109 @@ def test_whole_field_arithmetic_is_plain_numpy(shape, values, seed, scalar):
     for ii, (io, sign) in enumerate(table):
         star[:, io] = sign * flat[:, ii]
     _agrees_with_numpy(lambda: hodge_star(a), star)
+
+
+# ---------------------------------------------------------------------------
+# row storage
+# ---------------------------------------------------------------------------
+
+ROW_KINDS = ("+0", "-0", "mixed", "constant", "invariant", "values")
+
+
+def _planted_rows(grid, degree, value_type, rng):
+    """Field whose (frame slot, component) rows are in turn all +0.0, all
+    -0.0, mixed +-0, one constant, invariant along a random set of axes, or
+    varying along every axis; values are small integers (which cancel
+    exactly) or normals, with planted +-0 entries."""
+    coeffs = np.empty(_coeff_shape(grid, degree, value_type))
+    rows = coeffs.reshape((-1,) + grid.resolution)
+    for row in rows:
+        kind = ROW_KINDS[rng.integers(len(ROW_KINDS))]
+        if kind in ("+0", "-0"):
+            row[...] = 0.0 if kind == "+0" else -0.0
+        elif kind == "mixed":
+            row[...] = np.where(rng.random(grid.resolution) < 0.5, 0.0, -0.0)
+        else:
+            shape = [1] * grid.dim if kind == "constant" else \
+                [n if kind == "values" or rng.random() < 0.5 else 1
+                 for n in grid.resolution]
+            part = rng.integers(-2, 3, shape).astype(float) \
+                if rng.random() < 0.5 else rng.normal(size=shape)
+            part[rng.random(shape) < 0.2] = -0.0
+            row[...] = part
+    return FormField(grid, degree, value_type, coeffs)
+
+
+def _same_as_reference(got, want):
+    """Bytes of the full-array reference, and rows stored as slices."""
+    assert (got.degree, got.value_type) == (want.degree, want.value_type)
+    assert got.coeffs.tobytes() == want.coeffs.tobytes()
+    assert_rows_are_invariant_slices(got)
+
+
+def _embedding_reference(e, omega):
+    grid = e.grid
+    g4 = GridSpec(tuple(grid.extents) + ((0.0, 4 * min(grid.spacing)),),
+                  grid.resolution + (4,))
+    e4 = np.zeros(_coeff_shape(g4, 1, VECTOR))
+    e4[:3, :3] = e.coeffs[..., None]
+    e4[3, 3] = 1.0
+    om4 = np.zeros(_coeff_shape(g4, 1, ANTISYM))
+    for p, pair in enumerate(antisym_pairs(3)):
+        om4[antisym_pairs(4).index(pair), :3] = omega.coeffs[p][..., None]
+    return FormField(g4, 1, VECTOR, e4), FormField(g4, 1, ANTISYM, om4)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(3, 4), st.data())
+def test_stored_rows_are_invariant_slices_after_every_operation(dim, data):
+    """Each operation on fields with planted invariant axes, constant and
+    +-0 rows gives the bytes of the full-array reference, and stores each
+    result row as the invariant slice of its full row. Every example draws
+    one scalar and one wedge pairing."""
+    grid = GridSpec([(0.0, 1.0)] * dim, [4] * dim)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    types = (SCALAR, VECTOR, ANTISYM)
+
+    def field(degree, value_type):
+        return _planted_rows(grid, degree, value_type, rng)
+
+    def full(f, coeffs):
+        return FormField(f.grid, f.degree, f.value_type, coeffs)
+
+    value_type = data.draw(st.sampled_from(types))
+    a = field(data.draw(st.integers(0, dim - 1)), value_type)
+    b = field(a.degree, value_type)
+    assert_rows_are_invariant_slices(a)
+    _same_as_reference(a + b, full(a, a.coeffs + b.coeffs))
+    _same_as_reference(a - b, full(a, a.coeffs - b.coeffs))
+    _same_as_reference(-a, full(a, -a.coeffs))
+    s = data.draw(st.sampled_from((2.5, -1.0, 0.0, -0.0, 1e-310, np.inf,
+                                   -np.inf)))
+    with np.errstate(invalid="ignore"):     # inf * 0 is NaN
+        _agrees_with_numpy(lambda: a * s, a.coeffs * s)
+        _agrees_with_numpy(lambda: s * b, b.coeffs * s)
+    _same_as_reference(hodge_star(a), ref_hodge_star(a))
+    _same_as_reference(exterior_derivative(a), ref_exterior_derivative(a))
+    if value_type != SCALAR:
+        omega = field(1, ANTISYM)
+        _same_as_reference(covariant_exterior_derivative(a, omega),
+                           ref_covariant(a, omega))
+
+    ka = data.draw(st.integers(0, dim))
+    kb = data.draw(st.integers(0, dim - ka))
+    x = field(ka, data.draw(st.sampled_from(types)))
+    y = field(kb, data.draw(st.sampled_from(types)))
+    _same_as_reference(wedge(x, y), ref_wedge(x, y))
+    if x.value_type == y.value_type == ANTISYM:
+        _same_as_reference(antisym_matmul(x, y), ref_antisym_matmul(x, y))
+
+    if dim == 3:
+        e, omega = field(1, VECTOR), field(1, ANTISYM)
+        # embed_static_4d reads only e and omega of the 3D bundle
+        got = embed_static_4d(SimpleNamespace(e=e, omega=omega))
+        for g, want in zip((got.e, got.omega), _embedding_reference(e, omega)):
+            _same_as_reference(g, want)
 
 
 # ---------------------------------------------------------------------------

@@ -324,9 +324,22 @@ def test_cli_meta_records_wall_time_and_peak_rss(tmp_path, command, scenario):
     assert code == 0
     meta = json.loads((out / "meta.json").read_text())
     assert set(meta) == {"version", "command", "resolutionScale",
-                         "timestamp", "wallSeconds", "peakRssMb"}
-    for key in ("wallSeconds", "peakRssMb"):
+                         "timestamp", "wallSeconds", "peakRssMb",
+                         "peakRssMbAtStart"}
+    for key in ("wallSeconds", "peakRssMb", "peakRssMbAtStart"):
         assert math.isfinite(meta[key]) and meta[key] > 0, key
+
+
+def test_cli_meta_peak_rss_at_start_bounds_a_second_run(tmp_path):
+    """`peakRssMb` is the peak of the whole process, so a second run in
+    the same process may report the first one's; `peakRssMbAtStart` is the
+    peak when the run began, which tells the two apart."""
+    run_cli(tmp_path / "a", "charges", SCENARIOS / "screw_wedge.json")
+    code, out = run_cli(tmp_path / "b", "simulate",
+                        SCENARIOS / "annihilation.json")
+    assert code == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert 0 < meta["peakRssMbAtStart"] <= meta["peakRssMb"]
 
 
 def test_cli_meta_records_cost_of_failed_run(tmp_path):
