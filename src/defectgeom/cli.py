@@ -40,7 +40,7 @@ from .field_theory import (
 )
 from .forms import identity_coframe, integrate_loop
 from .geometry import Circle, Disk
-from .io import write_csv, write_field
+from .io import write_field
 from .network import charge_ledger, detect_and_reconnect
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_to_doc
 
@@ -58,9 +58,9 @@ def _json_dump(path, obj):
 
 def _prepare_out(out_dir, scenario: Scenario, args):
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     probe = out / ".write-probe"
     try:
+        out.mkdir(parents=True, exist_ok=True)
         probe.write_text("")
         probe.unlink()
     except OSError as err:
@@ -116,7 +116,6 @@ def cmd_fields(scenario: Scenario, out: Path, scale: int) -> int:
                         ("connection", f.omega), ("torsion", f.t),
                         ("curvature", f.r)):
         write_field(out / f"{name}.field", field)
-        write_csv(out / f"{name}.csv", field)
     if scenario.defects:
         _write_ray_profile(out / "profile_ray.csv", perturbation, scenario,
                            grid)
@@ -429,7 +428,7 @@ def build_parser():
     parser.add_argument("--resolution-scale", type=int, default=1,
                         metavar="K", help="multiply all grid resolutions")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (("fields", "serialize defect fields and CSV exports"),
+    for name, doc in (("fields", "write .field binaries and a ray profile"),
                       ("charges", "extract Burgers/Frank charges"),
                       ("verify", "run residual and convergence diagnostics"),
                       ("simulate", "run line dynamics and reconnection")):

@@ -618,31 +618,31 @@ def hodge_star(a: FormField) -> FormField:
 
 
 def interior_product(v: np.ndarray, a: FormField) -> FormField:
-    """Contraction with a vector field v (constant (dim,) or (dim, *res) array)."""
+    """Contraction with a vector field v (constant (dim,) or (dim, *res) array).
+
+    Each output row accumulates its signed products v_j * a_I from +0.0, row
+    by row like `exterior_derivative`.
+    """
     grid = a.grid
     if a.degree == 0:
         raise ValueError("interior product of a 0-form is undefined")
     v = np.asarray(v, float)
     if v.shape != (grid.dim,) and v.shape != (grid.dim,) + grid.resolution:
         raise ValueError("vector field shape mismatch")
-    comps = [np.broadcast_to(v[j], grid.resolution) for j in range(grid.dim)]
     in_idx = {I: i for i, I in enumerate(basis_indices(grid.dim, a.degree))}
-    out_components = basis_indices(grid.dim, a.degree - 1)
-    flat = a.coeffs.reshape((-1, len(in_idx)) + grid.resolution)
-    out = np.zeros((flat.shape[0], len(out_components)) + grid.resolution)
-    for io, K in enumerate(out_components):
-        for j in range(grid.dim):
-            if j in K:
-                continue
-            I, _ = _merge_sign(K, (j,))
-            pos = I.index(j)
-            term = comps[j] * flat[:, in_idx[I]]
-            if pos % 2 == 0:
-                out[:, io] += term
-            else:
-                out[:, io] -= term
-    shape = _coeff_shape(grid, a.degree - 1, a.value_type)
-    return FormField(grid, a.degree - 1, a.value_type, out.reshape(shape))
+    rows = []
+    for s in range(len(a._rows) // len(in_idx)):
+        src = a._block(s)
+        for K in basis_indices(grid.dim, a.degree - 1):
+            acc = _zero_row(grid)
+            for j in range(grid.dim):
+                if j in K:
+                    continue
+                I, _ = _merge_sign(K, (j,))
+                term = v[j] * src[in_idx[I]]
+                acc = acc + term if I.index(j) % 2 == 0 else acc - term
+            rows.append(acc)
+    return FormField._from_rows(grid, a.degree - 1, a.value_type, rows)
 
 
 def covariant_exterior_derivative(a: FormField, omega: FormField) -> FormField:

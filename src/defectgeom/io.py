@@ -6,8 +6,11 @@ Binary format, one file per field:
   then the coefficient arrays as C-order little-endian float64, frame index
   outermost, basis components in lexicographic multi-index order.
 
-A plain-text CSV export (one row per grid point: coordinates then
-components) supports external plotting.
+`write_csv` is a plain-text export for external plotting (one row per grid
+point: coordinates then components). No command writes it; the CSV of a
+written field is `write_csv(path, read_field("<name>.field"))`, and since
+`read_field` round-trips bit-exactly it has the bytes of the in-memory
+field's CSV.
 """
 
 from __future__ import annotations

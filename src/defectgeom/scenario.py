@@ -192,6 +192,7 @@ def parse_scenario(doc: dict) -> Scenario:
         if not isinstance(dyn["lines"], list) or not dyn["lines"]:
             raise ScenarioError("$.dynamics.lines: expected a nonempty list")
         parsed_lines = []
+        ids = {}
         for i, lobj in enumerate(dyn["lines"]):
             path = f"$.dynamics.lines[{i}]"
             _expect_keys(lobj, path, ("nodes", "burgers"),
@@ -203,6 +204,13 @@ def parse_scenario(doc: dict) -> Scenario:
             closed = lobj.get("closed", False)
             if not isinstance(closed, bool):
                 raise ScenarioError(f"{path}.closed: expected a boolean")
+            line_id = lobj.get("id", f"line{i}")
+            if not isinstance(line_id, str):
+                raise ScenarioError(f"{path}.id: expected a string")
+            if line_id in ids:
+                raise ScenarioError(f"{path}.id: {line_id!r} is already the "
+                                    f"id of $.dynamics.lines[{ids[line_id]}]")
+            ids[line_id] = i
             try:
                 parsed_lines.append(DislocationLine(
                     nodes=np.array(nodes),
@@ -211,7 +219,7 @@ def parse_scenario(doc: dict) -> Scenario:
                     closed=closed,
                     mobility=_number(lobj.get("mobility", 1.0),
                                      f"{path}.mobility"),
-                    id=str(lobj.get("id", f"line{i}"))))
+                    id=line_id))
             except ValueError as err:
                 raise ScenarioError(f"{path}: {err}") from err
         lines = tuple(parsed_lines)

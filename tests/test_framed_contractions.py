@@ -41,6 +41,7 @@ from defectgeom.forms import (
     _coeff_shape,
     _hodge_table,
     _invariant_slice,
+    _merge_sign,
     _scalar_wedge,
     antisym_matmul,
     antisym_pairs,
@@ -390,6 +391,30 @@ def ref_hodge_star(a):
     k = grid.dim - a.degree
     return FormField(grid, k, a.value_type,
                      out.reshape(_coeff_shape(grid, k, a.value_type)))
+
+
+def ref_interior_product(v, a):
+    """The contraction on full arrays: each output component accumulated
+    in place from +0.0 over the whole grid and every frame slot at once."""
+    grid = a.grid
+    v = np.asarray(v, float)
+    comps = [np.broadcast_to(v[j], grid.resolution) for j in range(grid.dim)]
+    in_idx = {I: i for i, I in enumerate(basis_indices(grid.dim, a.degree))}
+    out_components = basis_indices(grid.dim, a.degree - 1)
+    flat = a.coeffs.reshape((-1, len(in_idx)) + grid.resolution)
+    out = np.zeros((flat.shape[0], len(out_components)) + grid.resolution)
+    for io, K in enumerate(out_components):
+        for j in range(grid.dim):
+            if j in K:
+                continue
+            I, _ = _merge_sign(K, (j,))
+            term = comps[j] * flat[:, in_idx[I]]
+            if I.index(j) % 2 == 0:
+                out[:, io] += term
+            else:
+                out[:, io] -= term
+    shape = _coeff_shape(grid, a.degree - 1, a.value_type)
+    return FormField(grid, a.degree - 1, a.value_type, out.reshape(shape))
 
 
 def _operand_pairs(rng, dim):

@@ -34,6 +34,7 @@ from defectgeom.forms import (
     covariant_exterior_derivative,
     exterior_derivative,
     hodge_star,
+    interior_product,
     wedge,
 )
 from defectgeom.network import charge_ledger, reconnect
@@ -43,6 +44,7 @@ from test_framed_contractions import (
     ref_covariant,
     ref_exterior_derivative,
     ref_hodge_star,
+    ref_interior_product,
     ref_wedge,
 )
 
@@ -246,7 +248,8 @@ def test_stored_rows_are_invariant_slices_after_every_operation(dim, data):
     """Each operation on fields with planted invariant axes, constant and
     +-0 rows gives the bytes of the full-array reference, and stores each
     result row as the invariant slice of its full row. Every example draws
-    one scalar and one wedge pairing."""
+    one scalar and one wedge pairing, and contracts a field of positive
+    degree with a constant and a grid vector field."""
     grid = GridSpec([(0.0, 1.0)] * dim, [4] * dim)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     types = (SCALAR, VECTOR, ANTISYM)
@@ -290,6 +293,12 @@ def test_stored_rows_are_invariant_slices_after_every_operation(dim, data):
         got = embed_static_4d(SimpleNamespace(e=e, omega=omega))
         for g, want in zip((got.e, got.omega), _embedding_reference(e, omega)):
             _same_as_reference(g, want)
+
+    if a.degree > 0:
+        for v in (rng.choice([0.0, -0.0, 1.0, -2.0, rng.normal()], dim),
+                  field(0, VECTOR).coeffs.reshape((dim,) + grid.resolution)):
+            _same_as_reference(interior_product(v, a),
+                               ref_interior_product(v, a))
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,13 @@ def test_type_errors_report_path():
     doc = minimal_doc(outputs=["charges", "plots"])
     with pytest.raises(ScenarioError, match=r"\$\.outputs\[1\]"):
         parse_scenario(doc)
+    line = {"nodes": [[0, 0, -0.2], [0, 0, 0.2]], "burgers": [0, 0, 1]}
+    for bad_id in (None, 3):
+        doc = minimal_doc(dynamics={"time_step": 0.01, "steps": 1, "lines": [
+            line, dict(line, id=bad_id)]})
+        with pytest.raises(ScenarioError, match=r"\$\.dynamics\.lines\[1\]"
+                                                r"\.id: expected a string"):
+            parse_scenario(doc)
 
 
 def test_core_margin_enforced_at_parse_time():
@@ -95,6 +102,19 @@ def test_dynamics_block_parsing():
     doc["dynamics"]["force_law"] = "peach-koehler"
     with pytest.raises(ScenarioError, match="force_law"):
         parse_scenario(doc)
+    # a line without an id is line<index>, so an explicit "line1" or
+    # "line0" clashes with the default id of the other line
+    doc["dynamics"]["force_law"] = "derivation"
+    line = doc["dynamics"]["lines"][0]
+    for first, second in (({"id": "a"}, {"id": "a"}), ({"id": "line1"}, {}),
+                          ({}, {"id": "line0"})):
+        doc["dynamics"]["lines"] = [dict(line, **first), dict(line, **second)]
+        with pytest.raises(ScenarioError, match=r"\$\.dynamics\.lines\[1\]"
+                           r"\.id: '\w+' is already the id of "
+                           r"\$\.dynamics\.lines\[0\]$"):
+            parse_scenario(doc)
+    doc["dynamics"]["lines"] = [dict(line, id="a"), dict(line, id="line0")]
+    assert [l.id for l in parse_scenario(doc).lines] == ["a", "line0"]
 
 
 def test_scenario_roundtrip():
@@ -151,10 +171,10 @@ def test_cli_fields_outputs(tmp_path):
     p = write_scenario(tmp_path, small_screw_doc())
     code, out = run_cli(tmp_path, "fields", p)
     assert code == 0
-    for name in ("coframe", "coframe_perturbation", "connection", "torsion",
-                 "curvature"):
-        assert (out / f"{name}.field").exists()
-        assert (out / f"{name}.csv").exists()
+    assert sorted(f.name for f in out.iterdir()) == sorted(
+        [f"{name}.field" for name in ("coframe", "coframe_perturbation",
+                                      "connection", "torsion", "curvature")]
+        + ["profile_ray.csv", "scenario.json", "meta.json"])
     t = dg.read_field(out / "torsion.field")
     assert t.degree == 2 and t.value_type == "vector"
     profile = (out / "profile_ray.csv").read_text().strip().split("\n")
@@ -173,6 +193,19 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "charges", p)
     assert code == 1
     assert "$.grid.resolutionn" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+def test_cli_out_not_a_directory_is_config_error(tmp_path, capsys, sub):
+    """An --out that is an existing file, or lies under one, exits 1 with
+    a config error, not a traceback."""
+    (tmp_path / "taken").write_text("")
+    code = main(["--out", str(tmp_path / "taken" / sub), "charges",
+                 str(SCENARIOS / "screw.json")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: output directory not writable: ")
+    assert "Traceback" not in err
 
 
 def test_cli_missing_scenario_file(tmp_path):
