@@ -21,7 +21,7 @@ print(f"torsion peak density: {t.max_abs():.2f} "
 
 print("\nBurgers vector from the torsion flux through transverse disks:")
 for radius in (0.5, 1.0):
-    flux = dg.burgers_vector(t, Disk((0, 0, 0), radius), resolution=512)
+    flux = dg.burgers_vector(t, Disk((0, 0, 0), radius))
     print(f"  radius {radius}: ({flux[0]:.2e}, {flux[1]:.2e}, {flux[2]:.6f})")
 
 print("\nBurgers vector from coframe holonomy (radius independent):")
@@ -48,7 +48,7 @@ def cap(amp, radius=1.0):
                          np.zeros_like(u)], -1)
     return ParametricSurface(point, tan_u, tan_w)
 
-flat = dg.burgers_vector(t, Disk((0, 0, 0), 1.0), resolution=512)[2]
-bulged = dg.burgers_vector(t, cap(0.25), resolution=512)[2]
+flat = dg.burgers_vector(t, Disk((0, 0, 0), 1.0))[2]
+bulged = dg.burgers_vector(t, cap(0.25))[2]
 print(f"\nflat disk flux {flat:.9f} vs bulged cap {bulged:.9f} "
       f"(difference {abs(flat - bulged):.1e})")

@@ -19,7 +19,7 @@ edge = dg.DefectConfiguration(
 e = dg.build_coframe(edge)
 omega = dg.build_connection(edge)
 t = dg.torsion(e, omega)
-flux = dg.burgers_vector(t, Disk((0, 0, 0), 1.0), resolution=512)
+flux = dg.burgers_vector(t, Disk((0, 0, 0), 1.0))
 print("edge Burgers flux:", np.round(flux, 6))
 print("edge curvature max:", dg.curvature(omega).max_abs(), "(pure torsion)")
 
@@ -37,8 +37,7 @@ wedge = dg.DefectConfiguration(grid,
                                [dg.DefectSpec("wedge", (0, 0), 0.1, eps)])
 omega_w = dg.build_connection(wedge)
 r_w = dg.curvature(omega_w)
-frank = dg.axial_vector(dg.frank_angles(r_w, Disk((0, 0, 0), 1.0),
-                                        resolution=512))
+frank = dg.axial_vector(dg.frank_angles(r_w, Disk((0, 0, 0), 1.0)))
 print(f"\nwedge Theta = 0.1: Frank axial vector = {np.round(frank, 6)}"
       f"  (2 pi Theta = {2 * np.pi * 0.1:.6f})")
 
@@ -50,5 +49,5 @@ print("connection at (0.5, 0, 0): omega^2_1 dy-coefficient =",
 
 # torsion generated by the wedge integrates to zero over centered disks
 t_w = dg.torsion(dg.build_coframe(wedge), omega_w)
-b_w = dg.burgers_vector(t_w, Disk((0, 0, 0), 1.0), resolution=512)
+b_w = dg.burgers_vector(t_w, Disk((0, 0, 0), 1.0))
 print("wedge net Burgers flux (parity-protected zero):", np.round(b_w, 9))

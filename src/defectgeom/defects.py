@@ -29,6 +29,7 @@ import numpy as np
 
 from .forms import (
     ANTISYM,
+    SURFACE_RESOLUTION,
     VECTOR,
     FormField,
     GridSpec,
@@ -209,7 +210,8 @@ class CartanFields:
         object.__setattr__(self, "r", curvature(self.omega))
 
 
-def burgers_vector(t: FormField, surface, resolution: int = 512) -> np.ndarray:
+def burgers_vector(t: FormField, surface,
+                   resolution: int = SURFACE_RESOLUTION) -> np.ndarray:
     """Burgers vector of the torsion flux through a surface, one value per
     frame index."""
     if t.degree != 2 or t.value_type != VECTOR:
@@ -217,7 +219,8 @@ def burgers_vector(t: FormField, surface, resolution: int = 512) -> np.ndarray:
     return integrate_surface(t, surface, resolution=resolution)
 
 
-def frank_angles(r: FormField, surface, resolution: int = 512) -> np.ndarray:
+def frank_angles(r: FormField, surface,
+                 resolution: int = SURFACE_RESOLUTION) -> np.ndarray:
     """Frank rotation matrix of the curvature flux through a surface."""
     if r.degree != 2 or r.value_type != ANTISYM:
         raise ValueError("Frank extraction needs a matrix-valued 2-form")

@@ -675,15 +675,38 @@ def covariant_exterior_derivative(a: FormField, omega: FormField) -> FormField:
 # integration
 # ---------------------------------------------------------------------------
 
-def _quadrature(a: FormField, points, weights):
-    """Midpoint sum of a's quintic-spline components against per-component
-    weights.
+SURFACE_RESOLUTION = 64
 
-    weights has shape (ncomp, npts): the surface Jacobian of each basis
-    2-form or the loop velocity along each axis. Components whose weight is
-    zero at every point add exact zeros, so they are not sampled; on a
-    z-normal disk or circle that skips every dz component. The result is
-    shaped by the value type, as `integrate_surface` documents.
+
+def _check_resolution(resolution):
+    if not isinstance(resolution, (int, np.integer)) or resolution < 1:
+        raise ValueError(f"resolution must be an integer >= 1, got "
+                         f"{resolution!r}")
+
+
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> tuple:
+    """Gauss-Legendre nodes and weights of order n on [0, 1], read-only.
+
+    numpy.polynomial is not loaded by `import numpy`, so it is imported on
+    the first surface integral rather than with this module.
+    """
+    from numpy.polynomial.legendre import leggauss
+    x, w = leggauss(n)
+    u, wu = (x + 1) / 2, w / 2
+    u.flags.writeable = wu.flags.writeable = False
+    return u, wu
+
+
+def _quadrature(a: FormField, points, weights):
+    """Weighted sum of a's quintic-spline components at `points`.
+
+    weights has shape (ncomp, npts) and already holds the quadrature rule:
+    the surface Jacobian of each basis 2-form or the loop velocity along each
+    axis, times the weight of each point. Components whose weight is zero at
+    every point add exact zeros, so they are not sampled; on a z-normal disk
+    or circle that skips every dz component. The result is shaped by the
+    value type, as `integrate_surface` documents.
     """
     ncomp = weights.shape[0]
     keep = np.flatnonzero(np.any(weights != 0, axis=1))
@@ -692,7 +715,7 @@ def _quadrature(a: FormField, points, weights):
     vals = a._sample_rows(points, rows, 5)
     dens = np.einsum("scp,cp->sp", vals.reshape(nslots, len(keep), -1),
                      weights[keep])
-    total = dens.sum(axis=-1) / len(points)
+    total = dens.sum(axis=-1)
     if a.value_type == SCALAR:
         return float(total[0])
     if a.value_type == VECTOR:
@@ -705,22 +728,29 @@ def _quadrature(a: FormField, points, weights):
     return mat
 
 
-def integrate_surface(a: FormField, surface, resolution: int = 256):
-    """Midpoint-rule integral of a 2-form over a parametrized surface.
+def integrate_surface(a: FormField, surface,
+                      resolution: int = SURFACE_RESOLUTION):
+    """Integral of a 2-form over a parametrized surface.
 
     The surface provides sample points and analytic tangents on the unit
-    parameter square (see geometry module). Scalar fields return a float,
-    frame-vector fields an (n,) array and matrix fields an (n, n)
-    antisymmetric array.
+    parameter square (see geometry module). The rule is Gauss-Legendre with
+    `resolution` nodes in u and the periodic midpoint rule with
+    2 * `resolution` angles in w: on a disk, whose integrand is analytic in
+    the radius and periodic in the angle, both converge geometrically.
+    Scalar fields return a float, frame-vector fields an (n,) array and
+    matrix fields an (n, n) antisymmetric array.
     """
     if a.degree != 2:
         raise ValueError("surface integration needs a 2-form")
-    u = (np.arange(resolution) + 0.5) / resolution
+    _check_resolution(resolution)
+    u, wu = _gauss_legendre(resolution)
+    w = (np.arange(2 * resolution) + 0.5) / (2 * resolution)
     points, tu, tw = (np.reshape(x, (-1, np.shape(x)[-1])) for x in
-                      surface.points_and_tangents(u[:, None], u[None, :]))
+                      surface.points_and_tangents(u[:, None], w[None, :]))
     if not np.all(a.grid.contains(points)):
         raise ValueError("surface exits grid extents")
-    jac = np.array([tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]
+    weight = np.repeat(wu / (2 * resolution), 2 * resolution)
+    jac = np.array([(tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]) * weight
                     for i, j in a.components])
     return _quadrature(a, points, jac)
 
@@ -731,11 +761,12 @@ def integrate_loop(a: FormField, loop, resolution: int = 512):
         raise ValueError("loop integration needs a 1-form")
     if not loop.is_closed():
         raise ValueError("curve is not closed")
+    _check_resolution(resolution)
     t = (np.arange(resolution) + 0.5) / resolution
     points, vel = loop.points_and_velocity(t)
     if not np.all(a.grid.contains(points)):
         raise ValueError("loop exits grid extents")
-    return _quadrature(a, points, np.asarray(vel).T)
+    return _quadrature(a, points, np.asarray(vel).T) / resolution
 
 
 def grid_integral(a: FormField) -> float:

@@ -1,8 +1,9 @@
 """Parametrized measuring geometry: surfaces, loops and boxes.
 
 Surfaces map the unit parameter square to physical space and expose analytic
-tangents; loops map the unit interval. Both are consumed by the midpoint
-quadratures in `forms`.
+tangents; loops map the unit interval. Both are consumed by the quadratures
+in `forms`: Gauss-Legendre in u by the periodic midpoint rule in w on
+surfaces, the periodic midpoint rule on loops.
 
 A surface's `points_and_tangents(u, w)` takes parameter arrays that broadcast
 together, such as a column of u and a row of w, and returns the points and

@@ -358,6 +358,16 @@ def test_measuring_geometry_rejects_nan_and_skewed_axes(build, message):
         build()
 
 
+@pytest.mark.parametrize("resolution", [0, -3, 2.5])
+def test_quadrature_rejects_bad_resolution(g3, resolution):
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        integrate_surface(const_form(g3, 2, [1, 0, 0]),
+                          Disk((0.5, 0.5, 0.5), 0.2), resolution=resolution)
+    with pytest.raises(ValueError, match="resolution must be an integer"):
+        integrate_loop(const_form(g3, 1, [1, 0, 0]),
+                       Circle((0.5, 0.5, 0.5), 0.2), resolution=resolution)
+
+
 def test_loop_integral_exact_form(g3):
     dx = const_form(g3, 1, [1, 0, 0])
     circle = Circle((0.5, 0.5, 0.5), 0.3)
@@ -418,7 +428,7 @@ def _smooth_vector_form(grid, degree, seed):
     return FormField(grid, degree, VECTOR, coeffs)
 
 
-def _full_reference(a, points, weights, count, order=5):
+def _full_reference(a, points, weights, count=1, order=5):
     """Quadrature sampling every component, zero weight or not."""
     ncomp = weights.shape[0]
     vals = a.sample(points, order=order).reshape(-1, ncomp, points.shape[0])
@@ -426,10 +436,14 @@ def _full_reference(a, points, weights, count, order=5):
 
 
 def _disk_weights(disk, comps, resolution):
-    u = (np.arange(resolution) + 0.5) / resolution
-    U, W = np.meshgrid(u, u, indexing="ij")
+    """Disk points and Jacobians times the Gauss-Legendre (radius) by
+    periodic midpoint (angle) weights of a resolution x 2*resolution rule."""
+    x, wx = np.polynomial.legendre.leggauss(resolution)
+    w = (np.arange(2 * resolution) + 0.5) / (2 * resolution)
+    U, W = np.meshgrid((x + 1) / 2, w, indexing="ij")
+    weight = np.repeat(wx / 2 / (2 * resolution), 2 * resolution)
     points, tu, tw = disk.points_and_tangents(U.ravel(), W.ravel())
-    jac = np.array([tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]
+    jac = np.array([(tu[:, i] * tw[:, j] - tu[:, j] * tw[:, i]) * weight
                     for i, j in comps])
     return points, jac
 
@@ -441,7 +455,7 @@ def test_quadrature_skipping_zero_weights_is_bit_exact(g3):
     disk = Disk((0.5, 0.45, 0.5), 0.35)
     points, jac = _disk_weights(disk, t.components, 64)
     assert not np.any(jac[1:])
-    ref = _full_reference(t, points, jac, 64 * 64)
+    ref = _full_reference(t, points, jac)
     assert np.array_equal(integrate_surface(t, disk, resolution=64), ref)
 
     e = _smooth_vector_form(g3, 1, seed=4)
@@ -472,7 +486,7 @@ def test_quadrature_samples_only_weighted_components(g3, monkeypatch):
     assert np.all(np.any(jac != 0, axis=1))
     val = integrate_surface(t, tilted, resolution=32)
     assert len(calls) == 9
-    np.testing.assert_allclose(val, _full_reference(t, points, jac, 32 * 32),
+    np.testing.assert_allclose(val, _full_reference(t, points, jac),
                                rtol=1e-13, atol=1e-15)
 
 

@@ -167,6 +167,30 @@ def test_cli_charges(tmp_path):
     assert (out / "scenario.json").exists() and (out / "meta.json").exists()
 
 
+@pytest.mark.parametrize("name", ["screw", "edge", "wedge", "screw_wedge"])
+def test_cli_charges_of_shipped_scenarios_within_1e_6(tmp_path, name):
+    """Every projected Burgers or Frank charge that `charges` measures on the
+    shipped defect scenarios is within 1e-6 of its nominal value, relative."""
+    path = SCENARIOS / f"{name}.json"
+    code, out = run_cli(tmp_path, "charges", path)
+    assert code == 0
+    records = json.loads((out / "charges.json").read_text())["defects"]
+    defects = parse_scenario(json.loads(path.read_text())).defects
+    assert len(records) == len(defects)
+    for d, rec in zip(defects, records):
+        if d.kind == "wedge":
+            expected = 2 * math.pi * d.charge
+            err = abs(rec["frankAxial"][2] - expected) / abs(expected)
+        else:
+            axis = [0.0, 0.0, 1.0] if d.kind == "screw" else \
+                [*d.burgers_direction, 0.0]
+            bhat = d.charge * np.array(axis) / np.linalg.norm(axis) \
+                / abs(d.charge)
+            err = abs(np.dot(rec["burgers"], bhat) - abs(d.charge)) \
+                / abs(d.charge)
+        assert err < 1e-6, (d.kind, err)
+
+
 def test_cli_fields_outputs(tmp_path):
     p = write_scenario(tmp_path, small_screw_doc())
     code, out = run_cli(tmp_path, "fields", p)
@@ -347,6 +371,18 @@ def test_cli_loads_ndimage_on_first_spline_sample(tmp_path, command,
     done = subprocess.run([sys.executable, "-c", child], env=env, check=True,
                           capture_output=True, text=True, timeout=120)
     assert done.stdout.splitlines()[-1].split() == ["0", str(loaded)]
+
+
+def test_cli_import_does_not_load_numpy_polynomial():
+    """The disk rule's Gauss-Legendre nodes come from `numpy.polynomial`,
+    which `import numpy` does not load; the CLI must not load it at import
+    either, only on its first surface integral."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys\nimport defectgeom.cli\n"
+                               "print('numpy.polynomial' in sys.modules)\n"],
+        env=env, check=True, capture_output=True, text=True, timeout=120)
+    assert done.stdout.split() == ["False"]
 
 
 @pytest.mark.parametrize("command, scenario", [
