@@ -28,7 +28,7 @@ from .forms import (
     wedge,
     zero_connection,
 )
-from .geometry import Box, Circle, Disk, ParametricLoop, ParametricSurface, PlanarPatch, box_integral
+from .geometry import Box, Circle, Disk, ParametricSurface, box_integral
 from .defects import (
     CartanFields,
     DefectConfiguration,

@@ -98,6 +98,15 @@ def _measuring_radius(scenario: Scenario, grid, around=None):
     return radius
 
 
+def _finite(i, name, values) -> list:
+    """`values` as a flat list of floats; a non-finite one is a runtime
+    error that names defect `i` and the quantity."""
+    values = [float(v) for v in np.ravel(values)]
+    if not np.isfinite(values).all():
+        raise ValueError(f"defect {i}: non-finite {name} {values}")
+    return values
+
+
 def _mid_z(grid):
     lo, hi = grid.extents[2]
     return 0.5 * (lo + hi)
@@ -148,12 +157,12 @@ def cmd_charges(scenario: Scenario, out: Path, scale: int) -> int:
     grid = f.e.grid
     zmid = _mid_z(grid)
     records = []
-    for d in scenario.defects:
+    for i, d in enumerate(scenario.defects):
         radius = _measuring_radius(scenario, grid, around=d)
         center = (d.position[0], d.position[1], zmid)
         disk = Disk(center, radius)
         b = burgers_vector(f.t, disk)
-        frank = frank_angles(f.r, disk)
+        frank = axial_vector(frank_angles(f.r, disk))
         # keep the loop clear of the boundary interpolation fringe
         holonomy = integrate_loop(f.e, Circle(center, 0.75 * radius))
         records.append({
@@ -161,9 +170,9 @@ def cmd_charges(scenario: Scenario, out: Path, scale: int) -> int:
             "position": list(d.position),
             "charge": d.charge,
             "measuringRadius": radius,
-            "burgers": [float(v) for v in b],
-            "frankAxial": [float(v) for v in axial_vector(frank)],
-            "loopHolonomy": [float(v) for v in holonomy],
+            "burgers": _finite(i, "burgers", b),
+            "frankAxial": _finite(i, "frankAxial", frank),
+            "loopHolonomy": _finite(i, "loopHolonomy", holonomy),
         })
     _json_dump(out / "charges.json", {"scenario": scenario.name,
                                       "defects": records})
@@ -243,7 +252,8 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
         radius = _measuring_radius(scenario, grid, around=d)
         center = (d.position[0], d.position[1], zmid)
         if d.kind in (SCREW, EDGE):
-            b = burgers_vector(base.t, Disk(center, radius))
+            b = _finite(i, "burgers", burgers_vector(base.t,
+                                                     Disk(center, radius)))
             if d.kind == SCREW:
                 expected = np.array([0.0, 0.0, d.charge])
             else:
@@ -258,7 +268,7 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
             checks.append({"name": f"defect {i} ({d.kind}) Burgers charge "
                                    "(projected)",
                            "passed": bool(err < 1e-3), "relativeError": err,
-                           "measured": [float(v) for v in b]})
+                           "measured": b})
             rmin = 6.0 * d.core_radius
             if rmin >= 0.9 * radius:
                 warnings.append(f"defect {i}: no loop radius clears six core "
@@ -268,6 +278,7 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
                                          0.9 * radius, 3))
                 hols = [integrate_loop(base.e, Circle(center, rr))
                         for rr in radii]
+                _finite(i, "loopHolonomy", hols)
                 dev = float(max(np.max(np.abs(h - expected)) for h in hols))
                 checks.append({"name": f"defect {i} ({d.kind}) loop holonomy "
                                        "equals Burgers, radius independent",
@@ -276,12 +287,13 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
                                "maxDeviation": dev,
                                "radii": radii})
         else:
-            frank = axial_vector(frank_angles(base.r, Disk(center, radius)))
+            frank = _finite(i, "frankAxial", axial_vector(
+                frank_angles(base.r, Disk(center, radius))))
             expected = 2 * np.pi * d.charge
             err = abs(frank[2] - expected) / max(abs(expected), 1e-30)
             checks.append({"name": f"defect {i} (wedge) Frank charge",
                            "passed": bool(err < 1e-3), "relativeError": err,
-                           "measured": [float(v) for v in frank]})
+                           "measured": frank})
 
     if not scenario.defects:
         f4 = embed_static_4d(base)

@@ -354,18 +354,16 @@ def transport_residual(torsion_before, torsion_after, dt, tangent, velocity,
     s1 = hodge_star(torsion_after)
     rate = (s1 - s0) * (1.0 / dt)
     # tangent projection: for frame-vector 1-forms, project both the frame
-    # index and the coefficient index onto the core direction
-    proj = np.zeros(rate.grid.resolution)
-    comps = rate.components
-    coeffs = rate.coeffs
+    # index and the coefficient index onto the core direction, accumulated
+    # from +0.0 over the stored rows
+    proj = 0.0
     for a in range(rate.grid.dim):
         if tangent[a] == 0:
             continue
-        for ci, comp in enumerate(comps):
-            axis = comp[0]
-            if tangent[axis] == 0:
+        for row, comp in zip(rate._block(a), rate.components):
+            if tangent[comp[0]] == 0:
                 continue
-            proj += tangent[a] * tangent[axis] * coeffs[a, ci]
+            proj = proj + tangent[a] * tangent[comp[0]] * row
     measured = float(np.max(np.abs(proj)))
     v_perp = np.linalg.norm(velocity - np.dot(velocity, tangent) * tangent)
     estimate = float(burgers_mag * v_perp / (np.pi * core_radius ** 2))

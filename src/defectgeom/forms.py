@@ -278,22 +278,12 @@ class FormField:
         ncomp = len(self.components)
         return self._rows[index * ncomp:(index + 1) * ncomp]
 
-    def frame_block(self, a: int, b: int = None) -> np.ndarray:
-        """All basis components of one frame slot, sign-reflected for antisym."""
-        if self.value_type == SCALAR:
-            raise ValueError("frame_block needs a framed field")
-        i, sign = self._frame_slot(a if self.value_type == VECTOR else (a, b))
-        if sign == 0:
-            return np.zeros((len(self.components),) + self.grid.resolution)
-        block = self.coeffs[i]
-        return block if sign == 1 else -block
-
     def _frame_slot(self, frame):
         """(stored block index, sign) of frame slot a (vector) or (a, b)
         (antisym).
 
-        The slot equals sign * coeffs[index]; an antisym diagonal has sign 0
-        and no index. Only the lower triangle a > b is stored.
+        The slot is sign times stored block `index`; an antisym diagonal has
+        sign 0 and no index. Only the lower triangle a > b is stored.
         """
         if self.value_type == VECTOR:
             return int(frame), 1

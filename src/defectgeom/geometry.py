@@ -1,15 +1,18 @@
-"""Parametrized measuring geometry: surfaces, loops and boxes.
+"""Measuring geometry: the disks, circles and boxes the charges, holonomies
+and reconnection exchange are measured on.
 
-Surfaces map the unit parameter square to physical space and expose analytic
-tangents; loops map the unit interval. Both are consumed by the quadratures
-in `forms`: Gauss-Legendre in u by the periodic midpoint rule in w on
-surfaces, the periodic midpoint rule on loops.
+`Disk` and `ParametricSurface` map the unit parameter square to physical
+space and expose analytic tangents; `Circle` maps the unit interval. The
+quadratures in `forms` consume them: Gauss-Legendre in u by the periodic
+midpoint rule in w on surfaces, the periodic midpoint rule on loops.
+`box_integral` weights grid cells by their overlap with a `Box`.
 
 A surface's `points_and_tangents(u, w)` takes parameter arrays that broadcast
 together, such as a column of u and a row of w, and returns the points and
 both tangents with the vector axis last; a tangent may be a read-only
 broadcast view. `ParametricSurface` flattens u and w first, so its callables
-see 1-D arrays and return (m, dim).
+see 1-D arrays and return (m, dim). A loop's `points_and_velocity(t)` takes
+a 1-D t, and its `is_closed()` is checked by `integrate_loop`.
 """
 
 from __future__ import annotations
@@ -73,37 +76,6 @@ class Disk:
 
 
 @dataclass(frozen=True)
-class PlanarPatch:
-    """Flat parallelogram patch origin + u*span1 + w*span2."""
-
-    origin: tuple
-    span1: tuple
-    span2: tuple
-
-    def __post_init__(self):
-        o, s1, s2 = (np.asarray(v, float)
-                     for v in (self.origin, self.span1, self.span2))
-        for name, v in (("origin", o), ("span1", s1), ("span2", s2)):
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"planar patch {name} must be finite")
-        area2 = np.linalg.norm(np.outer(s1, s2) - np.outer(s2, s1))
-        if area2 <= 1e-12 * max(np.linalg.norm(s1) * np.linalg.norm(s2), 1e-300):
-            raise ValueError("degenerate surface: spans are parallel")
-        object.__setattr__(self, "origin", tuple(o))
-        object.__setattr__(self, "span1", tuple(s1))
-        object.__setattr__(self, "span2", tuple(s2))
-
-    def points_and_tangents(self, u, w):
-        o = np.asarray(self.origin)
-        s1 = np.asarray(self.span1)
-        s2 = np.asarray(self.span2)
-        points = o + np.multiply.outer(u, s1) + np.multiply.outer(w, s2)
-        tu = np.broadcast_to(s1, points.shape).copy()
-        tw = np.broadcast_to(s2, points.shape).copy()
-        return points, tu, tw
-
-
-@dataclass(frozen=True)
 class ParametricSurface:
     """Generic surface from callables point(u, w) -> (m, dim) and tangents."""
 
@@ -158,25 +130,6 @@ class Circle:
 
 
 @dataclass(frozen=True)
-class ParametricLoop:
-    """Closed curve from callables x(t) and x'(t) on t in [0, 1]."""
-
-    point_fn: callable
-    velocity_fn: callable
-
-    def is_closed(self):
-        """x(1) == x(0) within 1e-9 relative to max(1, |x(0)|)."""
-        p0 = np.asarray(self.point_fn(np.array([0.0])), float)
-        p1 = np.asarray(self.point_fn(np.array([1.0])), float)
-        scale = max(1.0, float(np.max(np.abs(p0))))
-        return bool(np.linalg.norm(p1 - p0) <= 1e-9 * scale)
-
-    def points_and_velocity(self, t):
-        return (np.asarray(self.point_fn(t), float),
-                np.asarray(self.velocity_fn(t), float))
-
-
-@dataclass(frozen=True)
 class Box:
     """Axis-aligned box [lo, hi] used for volume integrals."""
 
@@ -221,7 +174,9 @@ def box_integral(a, box: Box) -> float:
         ov = np.clip(np.minimum(box.hi[i], c0 + h) - np.maximum(box.lo[i], c0),
                      0.0, None)
         weights.append(ov)
-    acc = a.coeffs[0]
+    # every weight has full length on its axis, so the product of the stored
+    # row reaches full shape with the full array's values and bits
+    acc = a._rows[0]
     for i, wt in enumerate(weights):
         shape = [1] * grid.dim
         shape[i] = -1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import defectgeom as dg
+from defectgeom.forms import _coeff_shape
 
 EPS = 0.05
 EXTENTS = [(-1.6, 1.6), (-1.6, 1.6), (-0.4, 0.4)]
@@ -47,6 +48,29 @@ def wedge_fields(grid128):
     om = dg.build_connection(cfg)
     r = dg.curvature(om)
     return cfg, e, om, r
+
+
+ROW_SHAPES = ["full", "xy", "x", "const", "mixed"]
+_VARYING = {"full": (1, 1, 1), "xy": (1, 1, 0), "x": (1, 0, 0),
+            "const": (0, 0, 0)}
+
+
+def field_with_row_shapes(grid, degree, value_type, kind, rng):
+    """A 3D field of random rows that vary only along the axes `kind` names
+    (a random pick of those per row for "mixed"), so each row is stored at
+    that shape: full, (nx, ny, 1), (nx, 1, 1) or (1, 1, 1)."""
+    coeffs = np.empty(_coeff_shape(grid, degree, value_type))
+    for row in coeffs.reshape((-1,) + grid.resolution):
+        varying = _VARYING[rng.choice(list(_VARYING)) if kind == "mixed"
+                           else kind]
+        row[...] = rng.standard_normal(
+            [n if v else 1 for n, v in zip(grid.resolution, varying)])
+    field = dg.FormField(grid, degree, value_type, coeffs)
+    if kind != "mixed":
+        shape = tuple(n if v else 1
+                      for n, v in zip(grid.resolution, _VARYING[kind]))
+        assert {row.shape for row in field._rows} == {shape}
+    return field
 
 
 def tilted_coframe(grid, tilt=0.3):

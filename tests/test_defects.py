@@ -109,7 +109,7 @@ def test_superposition_is_linear(grid64):
 
 def test_screw_torsion_charge(screw_fields):
     _, _, _, t = screw_fields
-    b = dg.burgers_vector(t, Disk((0, 0, 0), 1.0), resolution=512)
+    b = dg.burgers_vector(t, Disk((0, 0, 0), 1.0))
     assert abs(b[2] - 1.0) < 1e-3
     # T^1 and T^2 are finite-difference derivatives of constant arrays
     assert b[0] == 0.0 and b[1] == 0.0
@@ -134,7 +134,7 @@ def test_screw_t1_t2_identically_zero(screw_fields):
 
 def test_edge_torsion_charge(edge_fields):
     _, _, _, t = edge_fields
-    b = dg.burgers_vector(t, Disk((0, 0, 0), 1.0), resolution=512)
+    b = dg.burgers_vector(t, Disk((0, 0, 0), 1.0))
     assert abs(b[0] - 1.0) < 1e-3
     assert abs(b[1]) < 1e-6 and b[2] == 0.0
 
@@ -147,7 +147,7 @@ def test_edge_curvature_identically_zero(edge_fields):
 
 def test_wedge_frank_charge(wedge_fields):
     _, _, _, r = wedge_fields
-    mat = dg.frank_angles(r, Disk((0, 0, 0), 1.0), resolution=512)
+    mat = dg.frank_angles(r, Disk((0, 0, 0), 1.0))
     axial = dg.axial_vector(mat)
     expected = 2 * np.pi * 0.1
     assert abs(axial[2] - expected) / expected < 1e-3
@@ -171,7 +171,7 @@ def test_wedge_torsion_centered_flux_vanishes(wedge_fields):
     _, e, om, _ = wedge_fields
     t = dg.torsion(e, om)
     assert t.max_abs() > 0.0
-    b = dg.burgers_vector(t, Disk((0, 0, 0), 1.0), resolution=512)
+    b = dg.burgers_vector(t, Disk((0, 0, 0), 1.0))
     assert np.max(np.abs(b)) < 1e-6
 
 
@@ -205,8 +205,7 @@ def test_two_wedges_cancel(grid128):
         grid128, [dg.DefectSpec("wedge", (-0.5, 0), 0.1, EPS),
                   dg.DefectSpec("wedge", (0.5, 0), -0.1, EPS)])
     r = dg.curvature(dg.build_connection(cfg))
-    axial = dg.axial_vector(dg.frank_angles(r, Disk((0, 0, 0), 1.4),
-                                            resolution=512))
+    axial = dg.axial_vector(dg.frank_angles(r, Disk((0, 0, 0), 1.4)))
     assert np.max(np.abs(axial)) < 1e-6
 
 
@@ -223,10 +222,10 @@ def test_charge_superposition(grid128):
     for d in (d1, d2, d3):
         cfg = dg.DefectConfiguration(grid128, [d])
         t = dg.torsion(dg.build_coframe(cfg), dg.build_connection(cfg))
-        singles.append(dg.burgers_vector(t, disk, resolution=512))
+        singles.append(dg.burgers_vector(t, disk))
     cfg = dg.DefectConfiguration(grid128, [d1, d2, d3])
     t = dg.torsion(dg.build_coframe(cfg), dg.build_connection(cfg))
-    combined = dg.burgers_vector(t, disk, resolution=512)
+    combined = dg.burgers_vector(t, disk)
     total = singles[0] + singles[1] + singles[2]
     assert np.max(np.abs(combined - total)) < 1e-4 * 1.7
     assert abs(combined[2] - 1.7) < 1e-3 * 1.7
@@ -234,8 +233,8 @@ def test_charge_superposition(grid128):
 
 def test_charge_surface_deformation_invariance(screw_fields):
     """Charge is invariant under measuring-surface deformation: bulging the
-    disk out of plane (fixed boundary) and changing the radius at matched
-    radial step both leave the flux unchanged to 1e-6."""
+    disk out of plane (fixed boundary) and changing the radius under the
+    same default rule both leave the flux unchanged to 1e-6."""
     _, _, _, t = screw_fields
 
     def cap(amp):
@@ -256,12 +255,11 @@ def test_charge_surface_deformation_invariance(screw_fields):
 
         return ParametricSurface(point, tan_u, tan_w)
 
-    flat = dg.burgers_vector(t, Disk((0, 0, 0), 1.0), resolution=512)
-    bulged = dg.burgers_vector(t, cap(0.25), resolution=512)
+    flat = dg.burgers_vector(t, Disk((0, 0, 0), 1.0))
+    bulged = dg.burgers_vector(t, cap(0.25))
     assert np.max(np.abs(flat - bulged)) < 1e-9
 
-    vals = [dg.burgers_vector(t, Disk((0, 0, 0), radius),
-                              resolution=int(round(1024 * radius)))[2]
+    vals = [dg.burgers_vector(t, Disk((0, 0, 0), radius))[2]
             for radius in (0.5, 0.75, 1.0)]
     assert max(vals) - min(vals) < 1e-6
 
@@ -275,7 +273,7 @@ def test_eps_convergence_of_charge(grid128):
         cfg = dg.DefectConfiguration(grid128,
                                      [dg.DefectSpec("screw", (0, 0), 1.0, eps)])
         t = dg.torsion(dg.build_coframe(cfg), dg.build_connection(cfg))
-        b = dg.burgers_vector(t, Disk((0, 0, 0), 0.35), resolution=1024)
+        b = dg.burgers_vector(t, Disk((0, 0, 0), 0.35))
         errors.append(abs(b[2] - 1.0))
     assert errors[0] > errors[1] > errors[2]
     assert errors[2] < 1e-4

@@ -18,9 +18,9 @@ from defectgeom.dynamics import (
     transport_residual,
     transversality_defect,
 )
-from defectgeom.forms import GridSpec
+from defectgeom.forms import VECTOR, GridSpec
 
-from conftest import EXTENTS, run_steps
+from conftest import EXTENTS, ROW_SHAPES, field_with_row_shapes, run_steps
 
 ZHAT = np.array([0.0, 0.0, 1.0])
 
@@ -293,6 +293,29 @@ def test_transport_linear_in_velocity(transport_grid):
         peaks[v] = rep.measured_peak
         assert rep.estimate == v * 1.0 / (np.pi * 0.05 ** 2)
     assert abs(peaks[1.0] / peaks[0.5] - 2.0) < 0.02 * 2.0
+
+
+@pytest.mark.parametrize("kind", ROW_SHAPES)
+def test_transport_peak_matches_full_array_reference(kind):
+    """The tangent projection accumulated over stored rows from +0.0 peaks
+    at the bits of the projection accumulated over full arrays."""
+    grid = GridSpec([(-1.0, 1.0), (0.0, 2.0), (-0.5, 0.5)], [9, 7, 6])
+    rng = np.random.default_rng(23)
+    t0, t1 = (field_with_row_shapes(grid, 2, VECTOR, kind, rng)
+              for _ in range(2))
+    dt = 1e-3
+    coeffs = ((dg.hodge_star(t1) - dg.hodge_star(t0)) * (1.0 / dt)).coeffs
+    for tangent in (ZHAT, (1.0, 0.0, 0.0), (0.6, 0.0, 0.8),
+                    (1 / 3, 2 / 3, 2 / 3), (0.0, 0.0, 0.0)):
+        tangent = np.asarray(tangent)
+        proj = np.zeros(grid.resolution)
+        for a in range(3):
+            for axis in range(3):  # the rate is a 1-form: component = axis
+                if tangent[a] != 0 and tangent[axis] != 0:
+                    proj += tangent[a] * tangent[axis] * coeffs[a, axis]
+        rep = transport_residual(t0, t1, dt, tangent, [0.5, 0.2, 0.0], 1.0,
+                                 0.05)
+        assert rep.measured_peak.hex() == float(np.max(np.abs(proj))).hex()
 
 
 def test_transport_linear_in_burgers(transport_grid):

@@ -21,7 +21,18 @@ from defectgeom.forms import (
     interior_product,
     wedge,
 )
-from defectgeom.geometry import Box, Circle, Disk, ParametricLoop, PlanarPatch
+from defectgeom.geometry import Box, Circle, Disk, box_integral
+
+from conftest import ROW_SHAPES, field_with_row_shapes
+
+
+def frame_slot(f, a, b):
+    """All basis components of antisym frame slot (a, b), sign-reflected
+    from the stored lower triangle."""
+    index, sign = f._frame_slot((a, b))
+    if sign == 0:
+        return np.zeros((len(f.components),) + f.grid.resolution)
+    return sign * f.coeffs[index]
 
 
 def const_form(grid, degree, values):
@@ -97,12 +108,15 @@ def test_antisym_storage_reflection(g3):
     coeffs = np.zeros((3, 3) + g3.resolution)
     coeffs[antisym_pairs(3).index((1, 0)), 0] = 2.0
     f = FormField(g3, 1, ANTISYM, coeffs)
-    assert np.array_equal(f.frame_block(1, 0), coeffs[0])
-    assert np.array_equal(f.frame_block(0, 1), -coeffs[0])
-    assert np.array_equal(f.frame_block(2, 2), np.zeros((3,) + g3.resolution))
+    assert f._frame_slot((1, 0)) == (0, 1)
+    assert f._frame_slot((0, 1)) == (0, -1)
+    assert f._frame_slot((2, 2)) == (None, 0)
+    assert np.array_equal(frame_slot(f, 1, 0), coeffs[0])
+    assert np.array_equal(frame_slot(f, 0, 1), -coeffs[0])
+    assert np.array_equal(frame_slot(f, 2, 2), np.zeros((3,) + g3.resolution))
     v = FormField(g3, 1, VECTOR, np.broadcast_to(
         np.arange(9.0).reshape(3, 3, 1, 1, 1), (3, 3) + g3.resolution))
-    assert np.array_equal(v.frame_block(2), v.coeffs[2])
+    assert v._frame_slot(2) == (2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -304,8 +318,8 @@ def test_commutator_antisymmetry_even_degree():
     # reconstruct the (a, b) and (b, a) reads; reflection must hold exactly
     for a in range(3):
         for b in range(3):
-            assert np.array_equal(out.frame_block(a, b),
-                                  -out.frame_block(b, a))
+            assert np.array_equal(frame_slot(out, a, b),
+                                  -frame_slot(out, b, a))
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +328,43 @@ def test_commutator_antisymmetry_even_degree():
 
 def test_surface_integral_constant(g3):
     dxdy = const_form(g3, 2, [1, 0, 0])
-    patch = PlanarPatch((0.05, 0.05, 0.5), (0.9, 0, 0), (0, 0.9, 0))
-    val = integrate_surface(dxdy, patch, resolution=64)
-    assert abs(val - 0.81) < 1e-12
+    disk = Disk((0.5, 0.5, 0.5), 0.45)
+    val = integrate_surface(dxdy, disk, resolution=64)
+    assert abs(val - np.pi * 0.45 ** 2) < 1e-12
     zero = FormField.zeros(g3, 2, SCALAR)
-    assert integrate_surface(zero, patch) == 0.0
+    assert integrate_surface(zero, disk) == 0.0
+
+
+def _box_reference(a, box):
+    """box_integral on the full coefficient array."""
+    grid = a.grid
+    acc = a.coeffs[0]
+    for i in range(grid.dim):
+        h = grid.spacing[i]
+        c0 = grid.extents[i][0] + np.arange(grid.resolution[i]) * h
+        ov = np.clip(np.minimum(box.hi[i], c0 + h)
+                     - np.maximum(box.lo[i], c0), 0.0, None)
+        shape = [1] * grid.dim
+        shape[i] = -1
+        acc = acc * ov.reshape(shape)
+    return float(np.sum(acc))
+
+
+@pytest.mark.parametrize("kind", ROW_SHAPES)
+def test_box_integral_matches_full_array_reference(kind):
+    """box_integral weights the stored row. Every weight has full length on
+    its axis, so the product reaches full shape with the full array's
+    values, and its sum has the same bits, on boxes that cut partial cells."""
+    grid = GridSpec([(-1.0, 1.0), (0.0, 2.0), (-0.5, 0.5)], [9, 7, 6])
+    rng = np.random.default_rng(17)
+    a = field_with_row_shapes(grid, 3, SCALAR, kind, rng)
+    lo, hi = np.array(grid.extents).T
+    boxes = [Box(tuple(lo), tuple(hi))]
+    for _ in range(25):
+        corners = np.sort(rng.uniform(lo, hi, size=(2, 3)), axis=0)
+        boxes.append(Box(tuple(corners[0]), tuple(corners[1])))
+    for box in boxes:
+        assert box_integral(a, box).hex() == _box_reference(a, box).hex()
 
 
 def test_surface_integral_errors(g3):
@@ -342,17 +388,9 @@ def test_surface_integral_errors(g3):
     (lambda: Circle((np.nan, 0, 0), 0.3), "circle center must be finite"),
     (lambda: Circle((0, 0, 0), 0.3, axes=((1, 0, 0), (1, 1, 0))),
      "orthogonal"),
-    (lambda: PlanarPatch((0, 0, 0), (np.nan, 0, 0), (0, 1, 0)),
-     "span1 must be finite"),
-    (lambda: PlanarPatch((0, 0, 0), (1, 0, 0), (0, np.inf, 0)),
-     "span2 must be finite"),
-    (lambda: PlanarPatch((0, np.nan, 0), (1, 0, 0), (0, 1, 0)),
-     "origin must be finite"),
 ], ids=["box-nan-lo", "disk-nan-radius", "circle-nan-radius",
         "disk-inf-radius", "circle-inf-radius", "disk-nan-center",
-        "circle-nan-center",
-        "circle-skewed-axes", "patch-nan-span1", "patch-inf-span2",
-        "patch-nan-origin"])
+        "circle-nan-center", "circle-skewed-axes"])
 def test_measuring_geometry_rejects_nan_and_skewed_axes(build, message):
     with pytest.raises(ValueError, match=message):
         build()
@@ -376,12 +414,19 @@ def test_loop_integral_exact_form(g3):
 
 def test_loop_integral_errors(g3):
     dx = const_form(g3, 1, [1, 0, 0])
-    spiral = ParametricLoop(
-        point_fn=lambda t: np.stack([0.5 + 0.1 * t, 0.5 + 0 * t,
-                                     0.5 + 0 * t], -1),
-        velocity_fn=lambda t: np.stack([0.1 + 0 * t, 0 * t, 0 * t], -1))
+
+    class Segment:
+        """The open segment from (0.5, 0.5, 0.5) to (0.6, 0.5, 0.5)."""
+
+        def is_closed(self):
+            return False
+
+        def points_and_velocity(self, t):
+            return (np.stack([0.5 + 0.1 * t, 0.5 + 0 * t, 0.5 + 0 * t], -1),
+                    np.stack([0.1 + 0 * t, 0 * t, 0 * t], -1))
+
     with pytest.raises(ValueError, match="closed"):
-        integrate_loop(dx, spiral)
+        integrate_loop(dx, Segment())
     with pytest.raises(ValueError, match="1-form"):
         integrate_loop(const_form(g3, 2, [1, 0, 0]),
                        Circle((0.5, 0.5, 0.5), 0.2))
@@ -523,7 +568,6 @@ def test_surface_rules_broadcast_like_flat_rules(g3):
     U, W = np.meshgrid(u, u, indexing="ij")
     tilt = ((1.0, 0.0, 0.4), (-0.4 * 0.3, 1.16, 0.3))
     surfaces = [Disk((0.5, 0.45, 0.5), 0.35), Disk((0.5, 0.5, 0.5), 0.3, tilt),
-                PlanarPatch((0.05, 0.05, 0.5), (0.9, 0, 0.1), (0, 0.9, 0)),
                 dg.ParametricSurface(
                     lambda u, w: np.stack([u, w, u * w], -1),
                     lambda u, w: np.stack([1 + 0 * u, 0 * u, w], -1),

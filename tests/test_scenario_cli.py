@@ -567,6 +567,27 @@ def test_cli_fields_overflowing_ray_profile_exit_3(tmp_path, capsys):
     assert not (out / "profile_ray.csv").exists()
 
 
+@pytest.mark.parametrize("command, report",
+                         [("charges", "charges.json"),
+                          ("verify", "verify_report.json")])
+@pytest.mark.parametrize("name, message", [
+    ("screw", "burgers [0.0, 0.0, nan]"),
+    ("wedge", "frankAxial [-0.0, 0.0, nan]")])
+def test_cli_overflowing_charge_exit_3(tmp_path, capsys, command, report,
+                                       name, message):
+    """The spline of a 1e305 defect's torsion or curvature overflows, so its
+    disk flux is NaN: the run names the defect and the quantity instead of
+    writing it."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    doc["defects"][0]["charge"] = 1e305
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, command, write_scenario(tmp_path, doc))
+    assert code == 3
+    assert f"runtime error: defect 0: non-finite {message}\n" \
+        in capsys.readouterr().err
+    assert not (out / report).exists()
+
+
 def test_cli_simulate_overflowing_transversality_map_exit_3(tmp_path, capsys):
     doc = json.loads((SCENARIOS / "magnus.json").read_text())
     dyn = doc["dynamics"]
