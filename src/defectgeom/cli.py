@@ -262,8 +262,11 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
             # project onto the defect's own Burgers axis: transverse
             # components of the disk flux pick up long-range torsion tails
             # of other enclosed-tail defects by construction; the projection
-            # onto the signed axis is the charge magnitude
-            bhat = expected / np.linalg.norm(expected)
+            # onto the signed axis is the charge magnitude. The axis is
+            # normalized before the charge scales it, whose square can
+            # overflow.
+            axis = expected / abs(d.charge)
+            bhat = axis / np.linalg.norm(axis)
             err = abs(float(np.dot(b, bhat)) - abs(d.charge)) / abs(d.charge)
             checks.append({"name": f"defect {i} ({d.kind}) Burgers charge "
                                    "(projected)",

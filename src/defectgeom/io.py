@@ -1,10 +1,15 @@
 """Structured-grid field serialization.
 
 Binary format, one file per field:
-  magic "DGFF0001", little-endian uint64 header length, UTF-8 JSON header
-  (dim, degree, valueType, extents, resolution, component and frame order),
-  then the coefficient arrays as C-order little-endian float64, frame index
-  outermost, basis components in lexicographic multi-index order.
+  magic "DGFF0002", little-endian uint64 header length, UTF-8 JSON header
+  (dim, degree, valueType, extents, resolution, component and frame order,
+  rowShapes), then the field's stored rows in row order: frame slot
+  outermost, basis components in lexicographic multi-index order. Each row
+  is C-order little-endian float64 of its `rowShapes` entry, which is full
+  length or 1 along each axis, so a row is written at the shape the field
+  stores it (`FormField` docstring) and no full-grid array is built either
+  way. Files of the earlier "DGFF0001" full-array layout are rejected as
+  bad magic.
 
 `write_csv` is a plain-text export for external plotting (one row per grid
 point: coordinates then components). No command writes it; the CSV of a
@@ -27,14 +32,16 @@ from .forms import (
     AXIS_NAMES,
     FormField,
     GridSpec,
+    _check_kind,
     _coeff_shape,
     _varying_axes,
     antisym_pairs,
     basis_indices,
 )
 
-MAGIC = b"DGFF0001"
-HEADER_KEYS = ("dim", "degree", "valueType", "extents", "resolution")
+MAGIC = b"DGFF0002"
+HEADER_KEYS = ("dim", "degree", "valueType", "extents", "resolution",
+               "rowShapes")
 CSV_BLOCK_ROWS = 4096
 
 
@@ -65,14 +72,17 @@ def write_field(path, field: FormField) -> None:
                        if field.value_type == ANTISYM
                        else list(range(field.grid.dim))
                        if field.value_type == VECTOR else None),
-        "layout": "C-order float64 little-endian, frame index outermost",
+        "layout": "rows in row order, frame index outermost, each C-order "
+                  "float64 little-endian at its rowShapes shape",
+        "rowShapes": [list(row.shape) for row in field._rows],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(blob)))
         fh.write(blob)
-        fh.write(np.ascontiguousarray(field.coeffs, dtype="<f8").tobytes())
+        for row in field._rows:
+            fh.write(np.ascontiguousarray(row, dtype="<f8"))
 
 
 def read_field(path) -> FormField:
@@ -100,15 +110,36 @@ def read_field(path) -> FormField:
                              f"{len(header['resolution'])} resolutions")
         grid = GridSpec(tuple(tuple(e) for e in header["extents"]),
                         tuple(header["resolution"]))
-        raw = fh.read()
-    shape = _coeff_shape(grid, header["degree"], header["valueType"])
-    expected = int(np.prod(shape))
-    coeffs = np.frombuffer(raw, dtype="<f8").astype(np.float64)
-    if coeffs.size != expected:
-        raise ValueError(f"{path}: payload has {coeffs.size} floats, "
-                         f"expected {expected}")
-    return FormField(grid, header["degree"], header["valueType"],
-                     coeffs.reshape(shape))
+        degree, value_type = header["degree"], header["valueType"]
+        try:
+            _check_kind(grid, degree, value_type)
+        except ValueError as err:
+            raise ValueError(f"{path}: {err}") from None
+        shapes = header["rowShapes"]
+        nrows = int(np.prod(_coeff_shape(grid, degree,
+                                         value_type)[:-grid.dim]))
+        if not isinstance(shapes, list) or len(shapes) != nrows:
+            raise ValueError(f"{path}: header rowShapes must list {nrows} "
+                             f"row shapes")
+        rows = []
+        for i, shape in enumerate(shapes):
+            if not (isinstance(shape, list) and len(shape) == grid.dim
+                    and all(type(m) is int and m in (1, n)
+                            for m, n in zip(shape, grid.resolution))):
+                raise ValueError(f"{path}: row {i} shape {shape} is not of "
+                                 f"full length or 1 along each axis of "
+                                 f"resolution {list(grid.resolution)}")
+            row = np.empty(shape, dtype="<f8")
+            if fh.readinto(row) != row.nbytes:
+                raise ValueError(f"{path}: payload ends inside row {i}")
+            rows.append(row)
+        if fh.read(1):
+            raise ValueError(f"{path}: payload is longer than its {nrows} "
+                             f"rows")
+    try:
+        return FormField._from_rows(grid, degree, value_type, rows)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_csv(path, field: FormField) -> None:

@@ -9,6 +9,8 @@ import pytest
 import defectgeom as dg
 from defectgeom.forms import ANTISYM, FormField, GridSpec, identity_coframe
 
+from conftest import ROW_SHAPES, field_with_row_shapes
+
 
 @pytest.fixture
 def sample_field():
@@ -32,7 +34,7 @@ def test_header_contents(tmp_path, sample_field):
     path = tmp_path / "field.bin"
     dg.write_field(path, sample_field)
     raw = path.read_bytes()
-    assert raw[:8] == b"DGFF0001"
+    assert raw[:8] == b"DGFF0002"
     (hlen,) = struct.unpack("<Q", raw[8:16])
     header = json.loads(raw[16:16 + hlen])
     assert header["dim"] == 3
@@ -41,11 +43,28 @@ def test_header_contents(tmp_path, sample_field):
     assert header["resolution"] == [4, 6, 5]
     assert header["componentOrder"] == [[0], [1], [2]]
     assert header["frameOrder"] == [[1, 0], [2, 0], [2, 1]]
+    assert header["rowShapes"] == [[4, 6, 5]] * 9
     payload = raw[16 + hlen:]
     assert len(payload) == sample_field.coeffs.size * 8
-    # little-endian float64, C-order, frame outermost
+    # little-endian float64, C-order rows, frame outermost
     first = struct.unpack("<d", payload[:8])[0]
     assert first == sample_field.coeffs.flat[0]
+    assert payload == sample_field.coeffs.astype("<f8").tobytes()
+
+
+def test_header_lists_stored_row_shapes(tmp_path):
+    """Each row is written at its stored shape, in row order."""
+    grid = GridSpec([(0, 1.0), (-1.0, 1.0), (0, 0.5)], [4, 6, 5])
+    field = field_with_row_shapes(grid, 1, "vector", "mixed",
+                                  np.random.default_rng(3))
+    path = tmp_path / "field.bin"
+    dg.write_field(path, field)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+    assert header["rowShapes"] == [list(row.shape) for row in field._rows]
+    assert raw[16 + hlen:] == b"".join(row.astype("<f8").tobytes()
+                                       for row in field._rows)
 
 
 def test_write_determinism(tmp_path, sample_field):
@@ -69,6 +88,122 @@ def test_truncated_payload_rejected(tmp_path, sample_field):
     path.write_bytes(raw[:-16])
     with pytest.raises(ValueError, match="payload"):
         dg.read_field(path)
+
+
+def test_old_magic_rejected(tmp_path, sample_field):
+    """A file of the earlier full-array layout is not read."""
+    path = tmp_path / "field.bin"
+    dg.write_field(path, sample_field)
+    path.write_bytes(b"DGFF0001" + path.read_bytes()[8:])
+    with pytest.raises(ValueError, match="field.bin: not a field file "
+                                         r"\(bad magic\)"):
+        dg.read_field(path)
+
+
+@pytest.mark.parametrize("change, message", [
+    (-8, "field.bin: payload ends inside row 8"),
+    (8, "field.bin: payload is longer than its 9 rows")])
+def test_payload_one_float_off_rejected(tmp_path, change, message):
+    """A payload one float short of or past its row shapes."""
+    grid = GridSpec([(0, 1.0), (-1.0, 1.0), (0, 0.5)], [4, 6, 5])
+    field = field_with_row_shapes(grid, 1, "vector", "xy",
+                                  np.random.default_rng(5))
+    path = tmp_path / "field.bin"
+    dg.write_field(path, field)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:change] if change < 0
+                     else raw + struct.pack("<d", 1.0))
+    with pytest.raises(ValueError, match=message):
+        dg.read_field(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(rowShapes=h["rowShapes"][:-1]),
+     "header rowShapes must list 9 row shapes"),
+    (lambda h: h.update(rowShapes=h["rowShapes"] + [[1, 1, 1]]),
+     "header rowShapes must list 9 row shapes"),
+    (lambda h: h.update(rowShapes=None),
+     "header rowShapes must list 9 row shapes"),
+    (lambda h: h["rowShapes"].__setitem__(2, [4, 3, 5]),
+     r"row 2 shape \[4, 3, 5\] is not of full length or 1"),
+    (lambda h: h["rowShapes"].__setitem__(0, [4, 6]),
+     r"row 0 shape \[4, 6\] is not"),
+    (lambda h: h["rowShapes"].__setitem__(4, [4, 6, 5.0]),
+     r"row 4 shape \[4, 6, 5.0\] is not")],
+    ids=["one_short", "one_long", "null", "partial_axis", "missing_axis",
+         "float_length"])
+def test_bad_row_shapes_rejected(tmp_path, sample_field, edit, message):
+    """rowShapes with the wrong number of rows, or a row length that is
+    neither 1 nor the axis's full length, is a ValueError naming the
+    path."""
+    path = tmp_path / "field.bin"
+    dg.write_field(path, sample_field)
+    _rewrite_header(path, edit)
+    with pytest.raises(ValueError, match="field.bin: " + message):
+        dg.read_field(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(degree=4), "degree 4 out of range for dim 3"),
+    (lambda h: h.update(valueType="tensor"), "unknown value type 'tensor'")])
+def test_header_bad_kind_rejected(tmp_path, sample_field, edit, message):
+    path = tmp_path / "field.bin"
+    dg.write_field(path, sample_field)
+    _rewrite_header(path, edit)
+    with pytest.raises(ValueError, match="field.bin: " + message):
+        dg.read_field(path)
+
+
+def test_non_finite_payload_rejected(tmp_path, sample_field):
+    path = tmp_path / "field.bin"
+    dg.write_field(path, sample_field)
+    raw = path.read_bytes()
+    path.write_bytes(raw[:-8] + struct.pack("<d", float("nan")))
+    with pytest.raises(ValueError,
+                       match="field.bin: non-finite coefficients"):
+        dg.read_field(path)
+
+
+@pytest.mark.parametrize("value_type, degree",
+                         [("scalar", 0), ("vector", 1), ("antisym", 2)])
+@pytest.mark.parametrize("kind", ROW_SHAPES)
+def test_roundtrip_keeps_row_shapes_and_bits(tmp_path, value_type, degree,
+                                             kind):
+    """Write then read gives the same stored row shapes and float64 bits,
+    and writing the read-back field again gives the same bytes."""
+    grid = GridSpec([(0, 1.0), (-1.0, 1.0), (0, 0.5)], [6, 5, 4])
+    field = field_with_row_shapes(grid, degree, value_type, kind,
+                                  np.random.default_rng(
+                                      ROW_SHAPES.index(kind) + 10 * degree))
+    first, second = tmp_path / "a.field", tmp_path / "b.field"
+    dg.write_field(first, field)
+    back = dg.read_field(first)
+    assert [row.shape for row in back._rows] == \
+        [row.shape for row in field._rows]
+    assert [[v.hex() for v in row.ravel().tolist()] for row in back._rows] \
+        == [[v.hex() for v in row.ravel().tolist()] for row in field._rows]
+    dg.write_field(second, back)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_longer_stored_row_is_resliced(tmp_path):
+    """A file may store a row longer than its invariant slice; the field
+    read back stores the slice, with the same values."""
+    grid = GridSpec([(0, 1.0), (-1.0, 1.0), (0, 0.5)], [4, 6, 5])
+    field = field_with_row_shapes(grid, 0, "scalar", "x",
+                                  np.random.default_rng(8))
+    path = tmp_path / "field.bin"
+    dg.write_field(path, field)
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<Q", raw[8:16])
+    header = json.loads(raw[16:16 + hlen])
+    header["rowShapes"] = [[4, 6, 5]]
+    blob = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + struct.pack("<Q", len(blob)) + blob
+                     + field.coeffs.astype("<f8").tobytes())
+    back = dg.read_field(path)
+    assert back._rows[0].shape == (4, 1, 1)
+    assert back._rows[0].tobytes() == field._rows[0].tobytes()
 
 
 @pytest.mark.parametrize("cut", [0, 2, 7, 9, 40])
@@ -154,7 +289,7 @@ def _rewrite_header(path, edit):
 
 
 @pytest.mark.parametrize("key", ["dim", "degree", "valueType", "extents",
-                                 "resolution"])
+                                 "resolution", "rowShapes"])
 def test_header_missing_key_rejected(tmp_path, sample_field, key):
     path = tmp_path / "field.bin"
     dg.write_field(path, sample_field)

@@ -455,6 +455,29 @@ def test_cli_verify_negative_dislocation_charge(tmp_path, kind):
     assert code == 0 and report["passed"]
 
 
+@pytest.mark.parametrize("name", ["screw", "edge"])
+def test_cli_verify_huge_dislocation_charge(tmp_path, name):
+    """A 1e200 charge squares past the float range, so its Burgers axis is
+    normalized before the charge scales it: the projected check passes."""
+    doc = json.loads((SCENARIOS / f"{name}.json").read_text())
+    doc["defects"][0]["charge"] = 1e200
+    code, out = run_cli(tmp_path, "verify", write_scenario(tmp_path, doc))
+    report = json.loads((out / "verify_report.json").read_text())
+    burgers = [c for c in report["checks"] if "Burgers charge" in c["name"]]
+    assert len(burgers) == 1 and burgers[0]["relativeError"] < 1e-6
+    assert code == 0 and report["passed"]
+
+
+def test_cli_fields_writes_stored_rows(tmp_path):
+    """`fields` writes each row at its stored shape: the five `.field` files
+    of screw_wedge at scale 1 hold about 1.3 MB, where full arrays would
+    take 47 MB."""
+    code, out = run_cli(tmp_path, "fields", SCENARIOS / "screw_wedge.json")
+    assert code == 0
+    sizes = [f.stat().st_size for f in out.glob("*.field")]
+    assert len(sizes) == 5 and sum(sizes) < 2e6
+
+
 @pytest.mark.parametrize("key, value, path", [
     ("external_force", [float("nan"), 0.0, 0.0],
      r"\$\.dynamics\.external_force\[0\]"),
