@@ -40,7 +40,7 @@ from .field_theory import (
 )
 from .forms import identity_coframe, integrate_loop
 from .geometry import Circle, Disk
-from .io import write_field
+from .io import _g17_rows, _g17_tables, write_field
 from .network import charge_ledger, detect_and_reconnect
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_to_doc
 
@@ -48,6 +48,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 EXIT_RUNTIME = 3
+TRAJECTORY_BLOCK_ROWS = 512
 
 
 def _json_dump(path, obj):
@@ -390,17 +391,27 @@ def cmd_simulate(scenario: Scenario, out: Path, scale: int) -> int:
 
 
 def _write_trajectory(path, node_steps):
-    """One row per node and step; floats in %.17g, which round-trips."""
-    row = "%d,%s,%d," + ",".join(["%.17g"] * 13) + "\n"
+    """One row per node and step; floats in %.17g, which round-trips.
+
+    The floats of TRAJECTORY_BLOCK_ROWS rows at a time are formatted by
+    `io._g17_rows`, so its temporary arrays have a fixed size.
+    """
+    row = "%d,%s,%d,%s\n"
+    tables = _g17_tables()
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,line_id,node,px,py,pz,vx,vy,vz,"
                  "fx_ext,fy_ext,fz_ext,fx_mag,fy_mag,fz_mag,transversality\n")
         for step, s in enumerate(node_steps):
             values = np.column_stack([s.position, s.velocity, s.f_ext,
-                                      s.f_magnus, s.transversality]).tolist()
-            fh.write("".join(row % (step, line_id, k, *vals)
-                             for line_id, k, vals
-                             in zip(s.line_ids, s.node.tolist(), values)))
+                                      s.f_magnus, s.transversality])
+            nodes = s.node.tolist()
+            for lo in range(0, len(values), TRAJECTORY_BLOCK_ROWS):
+                hi = lo + TRAJECTORY_BLOCK_ROWS
+                floats = _g17_rows(values[lo:hi], tables)
+                fh.write("".join([row % (step, line_id, k, text)
+                                  for line_id, k, text
+                                  in zip(s.line_ids[lo:hi], nodes[lo:hi],
+                                         floats)]))
 
 
 def _write_transversality_map(path, scenario: Scenario, disc):

@@ -89,3 +89,14 @@ def run_steps(lines, disclinations, params, extents=None):
         node_steps.append(node_step)
         clips.extend(step_clips)
     return lines, node_steps, clips
+
+
+def assert_same_lines(got, want):
+    """Exact text equality that names the first differing line. A plain ==
+    on thousands of lines sends pytest into a diff that runs for minutes."""
+    got, want = got.split("\n"), want.split("\n")
+    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
+    assert bad is None, f"line {bad + 1}: got {got[bad]!r}, want {want[bad]!r}"
+    # the texts share every line, so equal counts make them equal, down to
+    # the trailing newline
+    assert len(got) == len(want), f"{len(got)} lines, want {len(want)}"

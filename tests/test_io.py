@@ -2,14 +2,16 @@
 
 import json
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import defectgeom as dg
 from defectgeom.forms import ANTISYM, FormField, GridSpec, identity_coframe
+from defectgeom.io import _g17_rows, _g17_tables
 
-from conftest import ROW_SHAPES, field_with_row_shapes
+from conftest import ROW_SHAPES, assert_same_lines, field_with_row_shapes
 
 
 @pytest.fixture
@@ -154,6 +156,38 @@ def test_header_bad_kind_rejected(tmp_path, sample_field, edit, message):
         dg.read_field(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h.update(degree="1"), "header degree '1' is not an integer"),
+    (lambda h: h.update(degree=True), "header degree True is not an integer"),
+    (lambda h: h.update(extents=5), "header extents 5 is not a list"),
+    (lambda h: h["extents"].__setitem__(0, ["a", 1]),
+     r"header extents \[\['a', 1\], .* is not a list of \[lo, hi\] number"),
+    (lambda h: h["extents"].__setitem__(1, [-1.0]),
+     r"header extents .* is not a list of \[lo, hi\] number pairs"),
+    (lambda h: h["extents"].__setitem__(0, [0, 10 ** 400]),
+     "int too large to convert to float"),
+    (lambda h: h["extents"].__setitem__(0, [1.0, 0.0]),
+     r"extent \[1.0, 0.0\] must have a finite positive length"),
+    (lambda h: h.update(resolution=[2, 6, 5]), "resolution 2 < 4"),
+    (lambda h: h.update(resolution=[4.5, 6, 5]),
+     r"header resolution \[4.5, 6, 5\] is not a list of integers"),
+    (lambda h: h.update(resolution="456"),
+     "header resolution '456' is not a list of integers")],
+    ids=["degree_string", "degree_bool", "extents_number", "extent_string",
+         "extent_short", "extent_overflow", "extent_reversed",
+         "resolution_small", "resolution_float", "resolution_string"])
+def test_header_malformed_value_rejected(tmp_path, sample_field, edit,
+                                         message):
+    """A header value of the wrong JSON type or one GridSpec rejects is a
+    ValueError naming the path, not a TypeError, and a float resolution is
+    not read as its integer part."""
+    path = tmp_path / "field.bin"
+    dg.write_field(path, sample_field)
+    _rewrite_header(path, edit)
+    with pytest.raises(ValueError, match="field.bin: " + message):
+        dg.read_field(path)
+
+
 def test_non_finite_payload_rejected(tmp_path, sample_field):
     path = tmp_path / "field.bin"
     dg.write_field(path, sample_field)
@@ -275,7 +309,7 @@ def test_csv_matches_per_value_formatter(tmp_path):
     assert np.prod(grid.resolution) > 4096
     path = tmp_path / "f.csv"
     dg.write_csv(path, field)
-    _assert_same_lines(path.read_text(), _per_value_csv(field))
+    assert_same_lines(path.read_text(), _per_value_csv(field))
 
 
 def _rewrite_header(path, edit):
@@ -321,17 +355,6 @@ def _per_value_csv(field):
         ",".join(f"{v:.17g}" for v in row) + "\n" for row in block)
 
 
-def _assert_same_lines(got, want):
-    """Exact text equality that names the first differing line. A plain ==
-    on thousands of lines sends pytest into a diff that runs for minutes."""
-    got, want = got.split("\n"), want.split("\n")
-    bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w), None)
-    assert bad is None, f"line {bad + 1}: got {got[bad]!r}, want {want[bad]!r}"
-    # the texts share every line, so equal counts make them equal, down to
-    # the trailing newline
-    assert len(got) == len(want), f"{len(got)} lines, want {len(want)}"
-
-
 @pytest.mark.parametrize("resolution", [(4, 5, 6), (16, 16, 16), (20, 21, 13)])
 def test_csv_repeated_values_match_per_value_formatter(tmp_path, resolution):
     """Constant columns become template text and invariant columns are
@@ -355,4 +378,119 @@ def test_csv_repeated_values_match_per_value_formatter(tmp_path, resolution):
     field = FormField(grid, 1, "vector", c)
     path = tmp_path / "f.csv"
     dg.write_csv(path, field)
-    _assert_same_lines(path.read_text(), _per_value_csv(field))
+    assert_same_lines(path.read_text(), _per_value_csv(field))
+
+
+# ---------------------------------------------------------------------------
+# the %.17g kernel
+# ---------------------------------------------------------------------------
+
+TABLES = _g17_tables()
+
+
+def _assert_g17(values):
+    """`_g17_rows` of a one-column array gives `'%.17g' % v` for every v;
+    checked in blocks, and a failure names the first differing value."""
+    values = np.asarray(values, np.float64).ravel()
+    for lo in range(0, len(values), 65536):
+        block = values[lo:lo + 65536]
+        got = _g17_rows(block[:, None], TABLES)
+        want = ["%.17g" % v for v in block.tolist()]
+        assert len(got) == len(want)
+        bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
+                   None)
+        assert bad is None, \
+            f"{block[bad]!r}: got {got[bad]!r}, want {want[bad]!r}"
+
+
+def test_g17_random_bit_patterns():
+    """A million seeded random float64 bit patterns: every exponent, both
+    signs, subnormals, infinities and NaNs."""
+    bits = np.random.default_rng(20).integers(0, 2 ** 64, 1_000_000,
+                                               dtype=np.uint64)
+    _assert_g17(bits.view(np.float64))
+
+
+def test_g17_log_uniform_magnitudes():
+    rng = np.random.default_rng(21)
+    _assert_g17(rng.uniform(-1.0, 1.0, 200_000)
+                * 10.0 ** rng.integers(-30, 30, 200_000))
+
+
+def test_g17_powers_of_ten_and_neighbours():
+    """Every power of ten from 1e-323 to 1e308, one ulp below and above,
+    and negated: where floor(log10|x|) and the 17-digit carry are tested."""
+    powers = np.array([float(f"1e{k}") for k in range(-323, 309)])
+    _assert_g17(np.concatenate([powers, np.nextafter(powers, np.inf),
+                                np.nextafter(powers, 0.0), -powers]))
+
+
+def test_g17_special_values():
+    tiny = np.nextafter(0.0, 1.0)
+    huge = np.finfo(np.float64).max
+    subnormals = np.random.default_rng(22).integers(1, 2 ** 52, 1000,
+                                                     dtype=np.uint64)
+    _assert_g17([0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308,
+                 2.2250738585072014e-308, huge, -huge, np.inf, -np.inf,
+                 np.nan, -np.nan, 1e16, 1e17, 9.9999999999999984e16,
+                 0.0001, 9.9999999999999991e-05, 1e-05])
+    _assert_g17(subnormals.view(np.float64))
+    assert _g17_rows(np.array([[0.0, -0.0, np.inf, -np.inf, np.nan]]),
+                     TABLES) \
+        == ["0,-0,inf,-inf,nan"]
+
+
+@pytest.mark.parametrize("value, text", [
+    (1125899906842624.25, "1125899906842624.2"),
+    (1125899906842624.75, "1125899906842624.8")])
+def test_g17_exact_ties_round_half_even(value, text):
+    assert "%.17g" % value == text
+    assert _g17_rows(np.array([[value], [-value]]), TABLES) \
+        == [text, "-" + text]
+
+
+def test_g17_exact_ties():
+    """Values whose 18th significant digit is an exact 5: k + 1/4 and
+    k + 3/4 for 1e15 <= k < 2**51, and k + j/8 for odd j and 1e14 <= k <
+    1e15."""
+    rng = np.random.default_rng(23)
+    k15 = rng.integers(10 ** 15, 2 ** 51, 5000).astype(np.float64)
+    k14 = rng.integers(10 ** 14, 10 ** 15, 5000).astype(np.float64)
+    _assert_g17(np.concatenate([k15 + 0.25, k15 + 0.75,
+                                k14 + rng.choice([0.125, 0.375, 0.625,
+                                                  0.875], 5000)]))
+
+
+def test_g17_near_ties():
+    """Values whose scaled y = |x| * 10**(16 - E) lies within 2**-30 of a
+    half-integer without being one, down to about 2**-56, below the
+    double-double error: they go through Python, and if they did not some
+    would round the wrong way. For 10**-13 <= x < 10**-1 and k = 16 - E,
+    x = m * 2**q gives y = m * 5**k / 2**P with P = -(q + k) fraction bits,
+    so m = (2**(P - 1) + delta) / 5**k modulo 2**P is near a tie."""
+    values, gaps = [], []
+    for k in range(17, 30):
+        low, high = Fraction(10) ** (16 - k), Fraction(10) ** (17 - k)
+        for q in range(-150, -k - 1):
+            scale = Fraction(2) ** q
+            if 2 ** 53 * scale <= low or 2 ** 52 * scale >= high:
+                continue
+            mod = 2 ** -(q + k)
+            inverse = pow(5 ** k, -1, mod)
+            for delta in range(-2000, 2001):
+                m = (mod // 2 + delta) * inverse % mod
+                if delta and 2 ** 52 <= m < 2 ** 53 \
+                        and low <= m * scale < high:
+                    values.append(float(m * scale))
+                    gaps.append(abs(delta) / mod)
+    assert len(values) > 1000 and min(gaps) < 2.0 ** -50
+    _assert_g17(values)
+
+
+def test_g17_rows_join_columns():
+    values = np.random.default_rng(24).normal(size=(300, 7))
+    values[::5, 2] = 0.0
+    values[::7, 4] = 1e-20
+    assert _g17_rows(values, TABLES) == [",".join("%.17g" % v for v in row)
+                                         for row in values.tolist()]
+    assert _g17_rows(np.empty((0, 13)), TABLES) == []

@@ -12,8 +12,11 @@ import numpy as np
 import pytest
 
 import defectgeom as dg
+from defectgeom import cli
 from defectgeom.cli import main
 from defectgeom.scenario import ScenarioError, parse_scenario
+
+from conftest import assert_same_lines
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -627,7 +630,8 @@ def test_cli_simulate_overflowing_transversality_map_exit_3(tmp_path, capsys):
     assert not (out / "fig_transversality.csv").exists()
 
 
-def test_cli_simulate_writes_clip_events(tmp_path):
+def clip_doc():
+    """An edge line driven across x = 1, losing a node in steps 1 and 2."""
     doc = minimal_doc(outputs=["trajectories"])
     doc["dynamics"] = {
         "Gamma": 0.0, "time_step": 0.05, "steps": 4,
@@ -635,7 +639,12 @@ def test_cli_simulate_writes_clip_events(tmp_path):
         "lines": [{"nodes": [[0.80, 0.0, -0.2], [0.87, 0.0, 0.0],
                              [0.93, 0.0, 0.2]],
                    "burgers": [1.0, 0.0, 0.0], "id": "edge"}]}
-    code, out = run_cli(tmp_path, "simulate", write_scenario(tmp_path, doc))
+    return doc
+
+
+def test_cli_simulate_writes_clip_events(tmp_path):
+    code, out = run_cli(tmp_path, "simulate",
+                        write_scenario(tmp_path, clip_doc()))
     assert code == 0
     lines = (out / "clips.jsonl").read_text().splitlines()
     records = [json.loads(line) for line in lines]
@@ -650,3 +659,96 @@ def test_cli_simulate_writes_clip_events(tmp_path):
     assert final["lines"] == []
     rows = (out / "trajectory.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == list("00011122")
+
+
+# ---------------------------------------------------------------------------
+# trajectory.csv
+# ---------------------------------------------------------------------------
+
+def per_row_trajectory(node_steps):
+    """trajectory.csv as the per-row %.17g template writes it: the reference
+    for the block kernel `cli._write_trajectory` uses."""
+    row = "%d,%s,%d," + ",".join(["%.17g"] * 13) + "\n"
+    text = ["step,line_id,node,px,py,pz,vx,vy,vz,"
+            "fx_ext,fy_ext,fz_ext,fx_mag,fy_mag,fz_mag,transversality\n"]
+    for step, s in enumerate(node_steps):
+        values = np.column_stack([s.position, s.velocity, s.f_ext,
+                                  s.f_magnus, s.transversality]).tolist()
+        text.extend(row % (step, line_id, k, *vals) for line_id, k, vals
+                    in zip(s.line_ids, s.node.tolist(), values))
+    return "".join(text)
+
+
+def network_doc():
+    """20 lines of 30 nodes around three disclination sources, lines 0 and 1
+    touching with equal Burgers vectors, so each step has 600 rows (more
+    than one block) and the pair merges."""
+    rng = np.random.default_rng(20)
+    burgers = ([0.0, 0.0, 1.0], [0.0, 0.0, 1.0], [1.0, 0.0, 0.0],
+               [0.0, -1.0, 0.0], [1.0, 0.0, -1.0])
+    z = np.linspace(-0.35, 0.35, 30)
+    lines = []
+    for i in range(20):
+        x, y = -1.05 + 0.3 * (i % 5), -0.6 + 0.3 * (i // 5)
+        wave = rng.uniform(0.0, 0.01) * np.sin(9.0 * z + rng.uniform(0, 6))
+        lines.append({"nodes": np.column_stack([x + wave, y + wave, z]),
+                      "burgers": burgers[i % 5], "id": f"n{i}"})
+    lines[1]["nodes"] = lines[0]["nodes"] + np.array([0.015, 0.0, 0.0])
+    for line in lines:
+        line["nodes"] = line["nodes"].tolist()
+    doc = minimal_doc(outputs=["trajectories", "events"])
+    doc["grid"] = {"extents": [[-1.6, 1.6], [-1.6, 1.6], [-0.4, 0.4]],
+                   "resolution": [32, 32, 8]}
+    doc["dynamics"] = {
+        "force_law": "derivation", "external_force": [0.2, -0.1, 0.0],
+        "time_step": 0.01, "steps": 3, "reconnection_threshold": 0.03,
+        "disclination_sources": [
+            {"position": [0.1, 0.2], "frank": 0.2, "core_radius": 0.2},
+            {"position": [-0.7, -0.3], "frank": -0.15, "core_radius": 0.25},
+            {"position": [0.9, 0.6], "frank": 0.1, "core_radius": 0.15}],
+        "lines": lines}
+    return doc
+
+
+@pytest.mark.parametrize("scenario", ["magnus", "annihilation", "clip",
+                                      "network"])
+def test_cli_trajectory_matches_per_row_template(tmp_path, monkeypatch,
+                                                 scenario):
+    """trajectory.csv is byte for byte the text of the per-row %.17g
+    template on the node steps `simulate` hands to the writer."""
+    if scenario in ("magnus", "annihilation"):
+        path = SCENARIOS / f"{scenario}.json"
+    else:
+        path = write_scenario(tmp_path, clip_doc() if scenario == "clip"
+                              else network_doc())
+    seen = []
+    write = cli._write_trajectory
+
+    def recording_write(path, node_steps):
+        seen.append(node_steps)
+        write(path, node_steps)
+
+    monkeypatch.setattr(cli, "_write_trajectory", recording_write)
+    code, out = run_cli(tmp_path, "simulate", path)
+    assert code == 0 and len(seen) == 1
+    if scenario == "network":
+        assert len(seen[0][0]) > cli.TRAJECTORY_BLOCK_ROWS
+        assert json.loads((out / "network_final.json").read_text()
+                          )["eventCount"] >= 1
+    assert_same_lines((out / "trajectory.csv").read_text(),
+                      per_row_trajectory(seen[0]))
+
+
+@pytest.mark.parametrize("line_id", ["a,b", 'say "a"', "a\nb", "a\rb"])
+def test_cli_line_id_that_would_split_a_csv_field_exit_1(tmp_path, capsys,
+                                                         line_id):
+    """A line id holding a comma, a double quote or a line break would give
+    a trajectory row more fields than the header, so it is a config
+    error."""
+    doc = json.loads((SCENARIOS / "magnus.json").read_text())
+    doc["dynamics"]["lines"][0]["id"] = line_id
+    code, out = run_cli(tmp_path, "simulate", write_scenario(tmp_path, doc))
+    assert code == 1
+    assert f"$.dynamics.lines[0].id: {line_id!r} holds a comma" \
+        in capsys.readouterr().err
+    assert not out.exists()
