@@ -19,7 +19,6 @@ from .forms import (
     GridSpec,
     covariant_exterior_derivative,
     exterior_derivative,
-    grid_integral,
     hodge_star,
     identity_coframe,
     integrate_loop,
@@ -66,7 +65,6 @@ from .dynamics import (
     magnus_force,
     solve_velocity,
     step_lines,
-    transport_residual,
 )
 from .network import (
     ReconnectionEvent,

@@ -38,7 +38,7 @@ from .field_theory import (
     embed_static_4d,
     u1_sources,
 )
-from .forms import identity_coframe, integrate_loop
+from .forms import AXIS_NAMES, identity_coframe, integrate_loop
 from .geometry import Circle, Disk
 from .io import _g17_rows, _g17_tables, write_field
 from .network import charge_ledger, detect_and_reconnect
@@ -188,12 +188,13 @@ MACHINE_ZERO = 1e-10
 RATIO_BAND = (3.0, 5.0)
 
 
-def _ratio_check(name, coarse, fine, band=RATIO_BAND, floor=MACHINE_ZERO):
-    if coarse <= floor and fine <= floor:
+def _ratio_check(name, coarse, fine):
+    if coarse <= MACHINE_ZERO and fine <= MACHINE_ZERO:
         return {"name": name, "passed": True, "coarse": coarse, "fine": fine,
                 "classification": "exactly conserved (machine zero)"}
     ratio = coarse / fine if fine > 0 else float("inf")
-    return {"name": name, "passed": bool(band[0] <= ratio <= band[1]),
+    lo, hi = RATIO_BAND
+    return {"name": name, "passed": bool(lo <= ratio <= hi),
             "coarse": coarse, "fine": fine, "ratio": ratio,
             "classification": "second-order convergence"}
 
@@ -245,8 +246,11 @@ def cmd_verify(scenario: Scenario, out: Path, scale: int) -> int:
                                    norms[("coarse", "DT-Re")],
                                    norms[("fine", "DT-Re")]))
     else:
-        warnings.append("grid too coarse for the refinement diagnostic; "
-                        "conservation-law convergence skipped")
+        coarse = ", ".join(f"{n} cells on {AXIS_NAMES[i]}"
+                           for i, n in enumerate(grid.resolution) if n < 16)
+        warnings.append("grid too coarse for the refinement diagnostic "
+                        f"({coarse}, below 16); conservation-law convergence "
+                        "skipped")
 
     zmid = _mid_z(grid)
     for i, d in enumerate(scenario.defects):

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import hodge_star
-
 CROSS_PRODUCT = "cross"
 DERIVATION_CONSISTENT = "derivation"
 
@@ -246,9 +244,9 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
     Returns (new_lines, NodeStep, clip_events). Nodes leaving the extents
     are clipped from their line and logged; a line left with fewer than two
     nodes, or three if it is closed, is dropped. The step size must satisfy
-    dt * M * |F| <= 0.1 * min extent, and a non-finite velocity or force
-    raises ValueError naming the node. `step` labels the clip events and the
-    errors; params.steps is not read, so callers loop over the steps.
+    dt * M * |F| <= 0.1 * min extent, and a non-finite velocity, force or
+    transversality raises ValueError naming the node. `step` labels clips
+    and errors; params.steps is not read, so callers loop over the steps.
 
     All nodes are solved as one stacked (n, 3, 3) system with the arithmetic
     of solve_velocity, magnus_force and transversality_defect, so each node
@@ -308,6 +306,14 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
                 f"{travel[np.argmax(too_far)]:.3g} exceeds 0.1 * domain span")
     transversality = np.abs(_dot(fm, v)) \
         / (np.sqrt(_dot(fm, fm)) * speed + _TINY)
+    # |F|^2 and F . v can overflow although F and v are finite
+    bad = ~np.isfinite(transversality)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(
+            f"non-finite transversality at step {step}: line "
+            f"{lines[line_of[i]].id!r} node {node[i]} has velocity "
+            f"{v[i].tolist()} and force {fm[i].tolist()}")
     moved = nodes + params.time_step * v
 
     inside = np.ones(len(moved), bool)
@@ -329,46 +335,3 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
         line_ids=[ids[k] for k in line_of.tolist()], node=node,
         position=nodes, velocity=v, f_ext=f_ext, f_magnus=fm,
         transversality=transversality), clips
-
-
-@dataclass(frozen=True)
-class TransportReport:
-    measured_peak: float
-    estimate: float
-    ratio: float
-    relative_discrepancy: float
-
-
-def transport_residual(torsion_before, torsion_after, dt, tangent, velocity,
-                       burgers_mag, core_radius) -> TransportReport:
-    """Compare the two-snapshot transport rate of *T with b v_perp / (pi eps^2).
-
-    torsion_before/after are torsion fields for the line at t and t + dt.
-    The measured quantity is the grid peak of the tangent projection of
-    (*T_after - *T_before) / dt; the analytic flux-transport estimate uses
-    the regularized core area.
-    """
-    tangent = np.asarray(tangent, float)
-    velocity = np.asarray(velocity, float)
-    s0 = hodge_star(torsion_before)
-    s1 = hodge_star(torsion_after)
-    rate = (s1 - s0) * (1.0 / dt)
-    # tangent projection: for frame-vector 1-forms, project both the frame
-    # index and the coefficient index onto the core direction, accumulated
-    # from +0.0 over the stored rows
-    proj = 0.0
-    for a in range(rate.grid.dim):
-        if tangent[a] == 0:
-            continue
-        for row, comp in zip(rate._block(a), rate.components):
-            if tangent[comp[0]] == 0:
-                continue
-            proj = proj + tangent[a] * tangent[comp[0]] * row
-    measured = float(np.max(np.abs(proj)))
-    v_perp = np.linalg.norm(velocity - np.dot(velocity, tangent) * tangent)
-    estimate = float(burgers_mag * v_perp / (np.pi * core_radius ** 2))
-    ratio = measured / estimate if estimate != 0 else np.inf if measured else 1.0
-    return TransportReport(measured_peak=measured, estimate=estimate,
-                           ratio=ratio,
-                           relative_discrepancy=abs(measured - estimate)
-                           / max(abs(estimate), _TINY))

@@ -24,7 +24,6 @@ from .forms import (
     antisym_pairs,
     covariant_exterior_derivative,
     exterior_derivative,
-    grid_integral,
     hodge_star,
     wedge,
     _frame_sum,
@@ -203,13 +202,14 @@ def action_density(fields: CartanFields, c: Couplings) -> ActionBreakdown:
     else:
         term_m = FormField.zeros(grid, grid.dim, SCALAR)
         mixed_zero = True
+    whole = Box(*zip(*grid.extents))
     return ActionBreakdown(
         torsion_term=term_t,
         curvature_term=term_r,
         mixed_term=term_m,
-        torsion_integral=grid_integral(term_t),
-        curvature_integral=grid_integral(term_r),
-        mixed_integral=grid_integral(term_m),
+        torsion_integral=box_integral(term_t, whole),
+        curvature_integral=box_integral(term_r, whole),
+        mixed_integral=box_integral(term_m, whole),
         mixed_identically_zero=mixed_zero,
     )
 
@@ -271,7 +271,6 @@ class U1Sources:
     j1: FormField
     j2: Optional[FormField]
     dj1: Optional[Residual]
-    dj2: Optional[Residual]
     j2_identically_zero: bool
 
 
@@ -280,8 +279,8 @@ def u1_sources(fields: CartanFields, c: Couplings,
     """Geometric U(1) sources J1 = kappa T^a ^ e_a and J2 = lambda e^R^e.
 
     J1 is a 3-form; J2 is a 4-form that vanishes identically in three
-    dimensions and is reported as such. Closedness residuals dJ are computed
-    where the degree allows (J1 in 4D, never for top-degree forms).
+    dimensions and is reported as such. dJ1 is computed where the degree
+    allows (in 4D); J2 has top degree, so dJ2 vanishes identically.
     """
     e = fields.e
     grid = e.grid
@@ -294,10 +293,8 @@ def u1_sources(fields: CartanFields, c: Couplings,
                        note="J1 has top degree; d J1 vanishes identically")
     if grid.dim >= 4:
         j2 = c.lambda_u1 * wedge(e, wedge(fields.r, e))
-        dj2 = Residual(field=None, l2=0.0, linf=0.0, interior_only=False,
-                       note="J2 has top degree; d J2 vanishes identically")
-        return U1Sources(j1, j2, dj1, dj2, j2_identically_zero=False)
-    return U1Sources(j1, None, dj1, None, j2_identically_zero=True)
+        return U1Sources(j1, j2, dj1, j2_identically_zero=False)
+    return U1Sources(j1, None, dj1, j2_identically_zero=True)
 
 
 def u1_flux_balance(j1: FormField, volume: Box) -> float:

@@ -97,12 +97,6 @@ class GridSpec:
         axes = [self.axis_centers(i) for i in range(self.dim)]
         return tuple(np.meshgrid(*axes, indexing="ij"))
 
-    def cell_volume(self) -> float:
-        v = 1.0
-        for h in self.spacing:
-            v *= h
-        return v
-
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of points lying inside the extents, up to 1e-12."""
         points = np.asarray(points, float)
@@ -758,9 +752,3 @@ def integrate_loop(a: FormField, loop, resolution: int = 512):
         raise ValueError("loop exits grid extents")
     return _quadrature(a, points, np.asarray(vel).T) / resolution
 
-
-def grid_integral(a: FormField) -> float:
-    """Integral of a top-degree scalar form over the whole grid."""
-    if a.degree != a.grid.dim or a.value_type != SCALAR:
-        raise ValueError("grid_integral needs a scalar top-degree form")
-    return float(np.sum(a.coeffs[0]) * a.grid.cell_volume())

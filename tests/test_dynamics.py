@@ -1,10 +1,9 @@
-"""Line dynamics: transverse force laws, implicit velocity solve, stepping,
-transport-rate diagnostics."""
+"""Line dynamics: transverse force laws, implicit velocity solve and the
+stacked explicit-Euler step."""
 
 import numpy as np
 import pytest
 
-import defectgeom as dg
 from defectgeom.dynamics import (
     CROSS_PRODUCT,
     DERIVATION_CONSISTENT,
@@ -15,12 +14,10 @@ from defectgeom.dynamics import (
     magnus_force,
     solve_velocity,
     step_lines,
-    transport_residual,
     transversality_defect,
 )
-from defectgeom.forms import VECTOR, GridSpec
 
-from conftest import EXTENTS, ROW_SHAPES, field_with_row_shapes, run_steps
+from conftest import EXTENTS, run_steps
 
 ZHAT = np.array([0.0, 0.0, 1.0])
 
@@ -260,76 +257,6 @@ def test_time_step_first_order_convergence():
     d1 = np.linalg.norm(ends[0.04] - ends[0.02])
     d2 = np.linalg.norm(ends[0.02] - ends[0.01])
     assert 1.7 <= d1 / d2 <= 2.3
-
-
-# ---------------------------------------------------------------------------
-# transport diagnostics
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def transport_grid():
-    return GridSpec(EXTENTS, [128, 128, 8])
-
-
-def screw_torsion(grid, x0, b=1.0, eps=0.05):
-    cfg = dg.DefectConfiguration(
-        grid, [dg.DefectSpec("screw", (x0, 0.0), b, eps)])
-    return dg.torsion(dg.build_coframe(cfg), dg.build_connection(cfg))
-
-
-def test_transport_zero_velocity(transport_grid):
-    t0 = screw_torsion(transport_grid, 0.0)
-    rep = transport_residual(t0, t0, 1e-3, ZHAT, [0.0, 0.0, 0.0], 1.0, 0.05)
-    assert rep.measured_peak == 0.0 and rep.estimate == 0.0
-
-
-def test_transport_linear_in_velocity(transport_grid):
-    dt = 1e-3
-    t0 = screw_torsion(transport_grid, 0.0)
-    peaks = {}
-    for v in (0.5, 1.0):
-        rep = transport_residual(t0, screw_torsion(transport_grid, v * dt),
-                                 dt, ZHAT, [v, 0.0, 0.0], 1.0, 0.05)
-        peaks[v] = rep.measured_peak
-        assert rep.estimate == v * 1.0 / (np.pi * 0.05 ** 2)
-    assert abs(peaks[1.0] / peaks[0.5] - 2.0) < 0.02 * 2.0
-
-
-@pytest.mark.parametrize("kind", ROW_SHAPES)
-def test_transport_peak_matches_full_array_reference(kind):
-    """The tangent projection accumulated over stored rows from +0.0 peaks
-    at the bits of the projection accumulated over full arrays."""
-    grid = GridSpec([(-1.0, 1.0), (0.0, 2.0), (-0.5, 0.5)], [9, 7, 6])
-    rng = np.random.default_rng(23)
-    t0, t1 = (field_with_row_shapes(grid, 2, VECTOR, kind, rng)
-              for _ in range(2))
-    dt = 1e-3
-    coeffs = ((dg.hodge_star(t1) - dg.hodge_star(t0)) * (1.0 / dt)).coeffs
-    for tangent in (ZHAT, (1.0, 0.0, 0.0), (0.6, 0.0, 0.8),
-                    (1 / 3, 2 / 3, 2 / 3), (0.0, 0.0, 0.0)):
-        tangent = np.asarray(tangent)
-        proj = np.zeros(grid.resolution)
-        for a in range(3):
-            for axis in range(3):  # the rate is a 1-form: component = axis
-                if tangent[a] != 0 and tangent[axis] != 0:
-                    proj += tangent[a] * tangent[axis] * coeffs[a, axis]
-        rep = transport_residual(t0, t1, dt, tangent, [0.5, 0.2, 0.0], 1.0,
-                                 0.05)
-        assert rep.measured_peak.hex() == float(np.max(np.abs(proj))).hex()
-
-
-def test_transport_linear_in_burgers(transport_grid):
-    dt, v = 1e-3, 0.5
-    rep1 = transport_residual(screw_torsion(transport_grid, 0.0, b=1.0),
-                              screw_torsion(transport_grid, v * dt, b=1.0),
-                              dt, ZHAT, [v, 0, 0], 1.0, 0.05)
-    rep2 = transport_residual(screw_torsion(transport_grid, 0.0, b=2.0),
-                              screw_torsion(transport_grid, v * dt, b=2.0),
-                              dt, ZHAT, [v, 0, 0], 2.0, 0.05)
-    assert abs(rep2.measured_peak / rep1.measured_peak - 2.0) < 0.02 * 2.0
-    # the flux-transport estimate uses the same b, so the reported ratio is
-    # b-independent
-    assert abs(rep2.ratio - rep1.ratio) < 0.02 * rep1.ratio
 
 
 # ---------------------------------------------------------------------------

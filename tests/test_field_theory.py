@@ -76,6 +76,22 @@ def test_action_4d_mixed_term_evaluates():
     assert act.mixed_term.max_abs() == 0.0
 
 
+def test_action_integrals_are_whole_grid_cell_sums(grid64):
+    """Each action integral is the cell sum of its density times the cell
+    volume, for a screw+wedge in 3D and in its static 4D embedding."""
+    f3 = make_config(grid64, dg.DefectSpec("screw", (-0.4, 0.1), 1.0, 0.1),
+                     dg.DefectSpec("wedge", (0.4, -0.2), 0.1, 0.1))
+    for f in (f3, dg.embed_static_4d(f3)):
+        act = dg.action_density(f, dg.Couplings(1.0, 2.0, 0.5))
+        assert act.torsion_integral != 0 and act.curvature_integral != 0
+        volume = np.prod(f.e.grid.spacing)
+        for term, integral in ((act.torsion_term, act.torsion_integral),
+                               (act.curvature_term, act.curvature_integral),
+                               (act.mixed_term, act.mixed_integral)):
+            want = np.sum(term.coeffs[0]) * volume
+            assert abs(integral - want) <= 1e-14 * abs(want)
+
+
 # ---------------------------------------------------------------------------
 # Euler-Lagrange residuals
 # ---------------------------------------------------------------------------

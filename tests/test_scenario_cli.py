@@ -257,6 +257,21 @@ def test_cli_verify_small_grid_warns(tmp_path):
     assert code == 0    # defect-free checks still pass
 
 
+def test_cli_verify_coarse_skip_names_axis(tmp_path):
+    """The refinement diagnostic's skip names each axis below 16 cells; the
+    16^3 defect-free grid runs it."""
+    code, out = run_cli(tmp_path, "verify", SCENARIOS / "screw.json")
+    assert code == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    coarse = [w for w in report["warnings"] if "too coarse" in w]
+    assert len(coarse) == 1 and "(8 cells on z, below 16)" in coarse[0]
+    code, out = run_cli(tmp_path / "cube", "verify",
+                        SCENARIOS / "defect_free.json")
+    assert code == 0
+    report = json.loads((out / "verify_report.json").read_text())
+    assert not any("too coarse" in w for w in report["warnings"])
+
+
 def test_cli_verify_defect_free_exact(tmp_path):
     code, out = run_cli(tmp_path, "verify", SCENARIOS / "defect_free.json")
     assert code == 0
@@ -577,6 +592,23 @@ def test_cli_simulate_non_finite_dynamics_exit_3(tmp_path, capsys):
                             write_scenario(tmp_path, doc))
     assert code == 3
     assert "non-finite dynamics at step 0: line 'screw1' node 0" \
+        in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
+def test_cli_simulate_overflowing_transversality_exit_3(tmp_path, capsys):
+    """Finite velocity and force whose |F|^2 overflows give a NaN
+    transversality; the run names the node instead of writing it."""
+    doc = json.loads((SCENARIOS / "magnus.json").read_text())
+    dyn = doc["dynamics"]
+    dyn.update(steps=2, external_force=[1e300, 0.0, 0.0], time_step=1e-110,
+               Gamma=1e202)
+    dyn["lines"][0]["mobility"] = 1e-200
+    with np.errstate(all="ignore"):
+        code, out = run_cli(tmp_path, "simulate",
+                            write_scenario(tmp_path, doc))
+    assert code == 3
+    assert "non-finite transversality at step 0: line 'screw1' node 0" \
         in capsys.readouterr().err
     assert not (out / "trajectory.csv").exists()
 
