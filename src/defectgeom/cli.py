@@ -14,6 +14,7 @@ import resource
 import sys
 import time
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,7 @@ from .field_theory import (
 )
 from .forms import AXIS_NAMES, identity_coframe, integrate_loop
 from .geometry import Circle, Disk
-from .io import _g17_rows, _g17_tables, write_field
+from .io import _g17_tables, _g17_text, _words, write_field
 from .network import charge_ledger, detect_and_reconnect
 from .scenario import Scenario, ScenarioError, load_scenario, scenario_to_doc
 
@@ -397,25 +398,56 @@ def cmd_simulate(scenario: Scenario, out: Path, scale: int) -> int:
 def _write_trajectory(path, node_steps):
     """One row per node and step; floats in %.17g, which round-trips.
 
-    The floats of TRAJECTORY_BLOCK_ROWS rows at a time are formatted by
-    `io._g17_rows`, so its temporary arrays have a fixed size.
+    Rows go out in blocks of TRAJECTORY_BLOCK_ROWS, which span steps, and
+    one `io._g17_text` call formats a block's 10 varying float columns. The
+    text of `step,line_id,node,` comes from word tables of the file's step
+    numbers, line ids and node indices. step_lines gives every f_ext row the
+    external force, so its three cells are formatted once per file; a row
+    whose bits differ raises ValueError. A line id holds no NUL (the
+    scenario parser rejects it), because the kernel deletes NUL.
     """
-    row = "%d,%s,%d,%s\n"
     tables = _g17_tables()
+    steps = [s for s in node_steps if len(s)]
+    ext = steps[0].f_ext[0] if steps else np.zeros(3)
+    if not all((s.f_ext.view(np.uint64) == ext.view(np.uint64)).all()
+               for s in steps):
+        raise ValueError("trajectory rows hold more than one external force")
+    ext_words = _words(["".join("%.17g," % v for v in ext.tolist())])
+    step_words = _words(["%d," % k for k in range(len(node_steps))])
+    slots = {line_id: k for k, line_id in enumerate(dict.fromkeys(
+        chain.from_iterable(s.line_ids for s in steps)))}
+    id_words = _words([line_id + "," for line_id in slots])
+    first = min((int(s.node.min()) for s in steps), default=0)
+    last = max((int(s.node.max()) for s in steps), default=0)
+    node_words = _words(["%d," % k for k in range(first, last + 1)])
+
+    def text(block):
+        values, keys = (np.concatenate(parts) for parts in zip(*block))
+        return _g17_text(values, tables, {0: keys, 6: ext_words})
+
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("step,line_id,node,px,py,pz,vx,vy,vz,"
                  "fx_ext,fy_ext,fz_ext,fx_mag,fy_mag,fz_mag,transversality\n")
+        block, count = [], 0
         for step, s in enumerate(node_steps):
-            values = np.column_stack([s.position, s.velocity, s.f_ext,
-                                      s.f_magnus, s.transversality])
-            nodes = s.node.tolist()
-            for lo in range(0, len(values), TRAJECTORY_BLOCK_ROWS):
-                hi = lo + TRAJECTORY_BLOCK_ROWS
-                floats = _g17_rows(values[lo:hi], tables)
-                fh.write("".join([row % (step, line_id, k, text)
-                                  for line_id, k, text
-                                  in zip(s.line_ids[lo:hi], nodes[lo:hi],
-                                         floats)]))
+            values = np.column_stack([s.position, s.velocity, s.f_magnus,
+                                      s.transversality])
+            ids = np.fromiter(map(slots.__getitem__, s.line_ids), np.intp,
+                              len(s))
+            keys = np.concatenate([
+                np.repeat(step_words[step:step + 1], len(s), axis=0),
+                id_words[ids], node_words[s.node - first]], axis=1)
+            lo = 0
+            while lo < len(s):
+                hi = min(len(s), lo + TRAJECTORY_BLOCK_ROWS - count)
+                block.append((values[lo:hi], keys[lo:hi]))
+                count += hi - lo
+                lo = hi
+                if count == TRAJECTORY_BLOCK_ROWS:
+                    fh.write(text(block))
+                    block, count = [], 0
+        if block:
+            fh.write(text(block))
 
 
 def _write_transversality_map(path, scenario: Scenario, disc):

@@ -51,18 +51,9 @@ class DislocationLine:
             raise ValueError("mobility must be positive")
 
     def tangents(self) -> np.ndarray:
-        """Unit tangent per node from central differences of neighbors."""
-        m = len(self.nodes)
-        t = np.empty_like(self.nodes)
-        if self.closed:
-            t = np.roll(self.nodes, -1, axis=0) - np.roll(self.nodes, 1, axis=0)
-        else:
-            t[1:-1] = self.nodes[2:] - self.nodes[:-2]
-            t[0] = self.nodes[1] - self.nodes[0]
-            t[-1] = self.nodes[-1] - self.nodes[-2]
-        norms = np.linalg.norm(t, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        return t / norms
+        """Unit tangent per node from central differences of neighbors,
+        one-sided at the ends of an open line."""
+        return _tangents(self.nodes, [bool(self.closed)], [len(self.nodes)])
 
 
 @dataclass(frozen=True)
@@ -232,9 +223,53 @@ def _dot(a, b):
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
-def _stacked(parts):
-    """Concatenate (m, 3) arrays; an empty line set gives shape (0, 3)."""
-    return np.concatenate([np.empty((0, 3)), *parts])
+def _stack_lines(lines):
+    """The lines as stacked arrays (nodes, burgers, mobility, closed,
+    counts), or None if some line fails a check of DislocationLine.
+
+    The checks are the constructor's, on the stacked arrays. A line of at
+    least two nodes has a segment next to each node, so its nodes are all
+    finite exactly when its segment lengths are; the segments that join two
+    lines are not read. Attributes that do not stack as the constructor
+    converts them also give None.
+    """
+    try:
+        nodes = np.concatenate([np.empty((0, 3)), *(l.nodes for l in lines)])
+        counts = np.array([len(l.nodes) for l in lines], int)
+        closed = np.array([bool(l.closed) for l in lines], bool)
+        if not all(np.shape(l.burgers) == (3,) and l.mobility > 0
+                   for l in lines):
+            return None
+        burgers = np.array([l.burgers for l in lines], float).reshape(-1, 3)
+        mobility = np.array([float(l.mobility) for l in lines])
+    except (TypeError, ValueError):
+        return None
+    if nodes.dtype != np.float64 \
+            or not np.all(counts >= np.where(closed, 3, 2)):
+        return None
+    seg = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
+    seg[np.cumsum(counts)[:-1] - 1] = 1.0
+    if not (np.isfinite(nodes).all() and np.all(seg > 0)
+            and np.isfinite(burgers).all() and burgers.any(axis=1).all()):
+        return None
+    return nodes, burgers, mobility, closed, counts
+
+
+def _tangents(nodes, closed, counts):
+    """DislocationLine.tangents of lines stacked in `nodes`, with counts
+    nodes each: a node's neighbours are in its own line, and a closed line
+    wraps."""
+    counts = np.asarray(counts)
+    starts = np.cumsum(counts) - counts
+    ends = starts + counts - 1
+    after = np.arange(1, len(nodes) + 1)
+    before = np.arange(-1, len(nodes) - 1)
+    after[ends] = np.where(closed, starts, ends)
+    before[starts] = np.where(closed, ends, starts)
+    t = nodes[after] - nodes[before]
+    norms = np.linalg.norm(t, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return t / norms
 
 
 def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
@@ -248,21 +283,29 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
     transversality raises ValueError naming the node. `step` labels clips
     and errors; params.steps is not read, so callers loop over the steps.
 
-    All nodes are solved as one stacked (n, 3, 3) system with the arithmetic
-    of solve_velocity, magnus_force and transversality_defect, so each node
-    gets the bits of the per-node functions.
+    The lines are checked and differentiated as one stacked array: a line
+    that fails a check of DislocationLine raises the constructor's
+    ValueError, for the first such line. All nodes are solved as one
+    stacked (n, 3, 3) system with the arithmetic of solve_velocity,
+    magnus_force, transversality_defect and DislocationLine.tangents, so
+    each node gets the bits of the per-node functions. The input lines are
+    not changed; each surviving line is a copy at its moved nodes (a view
+    of one new array unless nodes were clipped), which are not checked
+    again.
     """
-    lines = [DislocationLine(np.array(l.nodes), np.array(l.burgers), l.closed,
-                             l.mobility, l.id) for l in lines]
-    counts = np.array([len(l.nodes) for l in lines], int)
+    lines = list(lines)
+    stacked = _stack_lines(lines)
+    if stacked is None:
+        lines = [DislocationLine(np.array(l.nodes), np.array(l.burgers),
+                                 l.closed, l.mobility, l.id) for l in lines]
+        stacked = _stack_lines(lines)
+    nodes, line_burgers, line_mobility, closed, counts = stacked
     line_of = np.repeat(np.arange(len(lines)), counts)
     node = np.arange(len(line_of)) - np.repeat(np.cumsum(counts) - counts,
                                                counts)
-    nodes = _stacked(l.nodes for l in lines)
-    tans = _stacked(l.tangents() for l in lines)
-    burgers = _stacked(np.broadcast_to(l.burgers, l.nodes.shape)
-                       for l in lines)
-    mobility = np.repeat([float(l.mobility) for l in lines], counts)
+    tans = _tangents(nodes, closed, counts)
+    burgers = line_burgers[line_of]
+    mobility = line_mobility[line_of]
     thetas = disclinations.theta_at(nodes)
     f_ext = np.broadcast_to(params.external_force, nodes.shape)
     Gamma = params.Gamma
@@ -322,16 +365,23 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
     clips = [ClipEvent(step=step, line_id=lines[line_of[i]].id,
                        node=int(node[i]), position=moved[i].copy())
              for i in np.flatnonzero(~inside)]
+    kept = np.bincount(line_of[inside], minlength=len(lines)).tolist()
     survivors = []
     stop = 0
-    for line, count in zip(lines, counts):
+    for k, (line, count) in enumerate(zip(lines, counts.tolist())):
         start, stop = stop, stop + count
-        kept = moved[start:stop][inside[start:stop]]
-        if len(kept) >= (3 if line.closed else 2):
-            line.nodes = kept
-            survivors.append(line)
-    ids = [line.id for line in lines]
+        if kept[k] == count:
+            line_nodes = moved[start:stop]
+        elif kept[k] >= (3 if closed[k] else 2):
+            line_nodes = moved[start:stop][inside[start:stop]]
+        else:
+            continue
+        survivor = object.__new__(type(line))
+        survivor.__dict__.update(vars(line), nodes=line_nodes,
+                                 burgers=line_burgers[k])
+        survivors.append(survivor)
+    ids = np.array([line.id for line in lines], object)
     return survivors, NodeStep(
-        line_ids=[ids[k] for k in line_of.tolist()], node=node,
+        line_ids=np.repeat(ids, counts).tolist(), node=node,
         position=nodes, velocity=v, f_ext=f_ext, f_magnus=fm,
         transversality=transversality), clips

@@ -17,23 +17,25 @@ written field is `write_csv(path, read_field("<name>.field"))`, and since
 `read_field` round-trips bit-exactly it has the bytes of the in-memory
 field's CSV.
 
-`_g17_rows` formats a float64 array as `'%.17g' % v` text, byte for byte,
+`_g17_text` formats a float64 array as `'%.17g' % v` text, byte for byte,
 with numpy arithmetic in place of one CPython `dtoa` call per value
-(`simulate` writes `trajectory.csv` with it). For each |x| it computes
-y = |x| * 10**(16 - E) as a double-double: Dekker's exact product of |x|
-and the high part of a (high, low) table entry of 10**k, both split by
-Veltkamp's method (numpy has no fused multiply-add), plus |x| times the low
-part. E starts as floor(log10|x|) and is corrected by comparing y itself
-with 1e16 and 1e17. The 17-digit integer D is y rounded. y is within
-2**-46 of the exact product, so D is correctly rounded unless y lies
-within 2**-30 of a tie. Such a value, one whose D carries to 10**17, one
-outside the table's range (|x| below 1e-283 or from 1e289 on) and a
-non-finite one are formatted by Python's `'%.17g'`. Zero is '0' or '-0'.
-D becomes text through 4-digit lookup tables in a fixed 48-byte cell per
-value, with NUL where `%g` writes nothing (leading and trailing zeros, the
-decimal point of a whole number, the exponent of fixed notation), and the
-NULs are deleted at the end. The tables are built from Python integers by
-`_g17_tables`, once per file written.
+(`simulate` writes `trajectory.csv` with it, one call per block of rows).
+For each |x| it computes y = |x| * 10**(16 - E) as a double-double:
+Dekker's exact product of |x| and the high part of a (high, low) table
+entry of 10**k, both split by Veltkamp's method (numpy has no fused
+multiply-add), plus |x| times the low part. E starts as floor(log10|x|) and
+is corrected by comparing y itself with 1e16 and 1e17. The 17-digit integer
+D is y rounded. y is within 2**-46 of the exact product, so D is correctly
+rounded unless y lies within 2**-30 of a tie. Such a value, one whose D
+carries to 10**17, one outside the table's range (|x| below 1e-283 or from
+1e289 on) and a non-finite one are formatted by Python's `'%.17g'`. Zero is
+'0' or '-0'. D becomes text through 4-digit lookup tables in a fixed
+48-byte cell per value, with NUL where `%g` writes nothing (leading and
+trailing zeros, the decimal point of a whole number, the exponent of fixed
+notation). A cell word that is NUL in every cell of a call is dropped, text
+that the caller formats itself as NUL-padded words is copied in between the
+cells, and the NULs are deleted at the end. The tables are built from
+Python integers by `_g17_tables`, once per file written.
 """
 
 from __future__ import annotations
@@ -235,13 +237,16 @@ def _split(a):
 
 
 def _words(texts):
-    """Each text of at most 4 ASCII characters as a NUL-padded uint32."""
-    return np.frombuffer(b"".join(t.encode("ascii").ljust(4, b"\0")
-                                  for t in texts), "<u4")
+    """Each text in UTF-8, NUL-padded to the longest, as a row of uint32
+    words: a (len(texts), k) array with k >= 1."""
+    raw = [t.encode() for t in texts]
+    k = max([1] + [-(-len(r) // 4) for r in raw])
+    return np.frombuffer(b"".join(r.ljust(4 * k, b"\0") for r in raw),
+                         "<u4").reshape(len(raw), k)
 
 
 def _g17_tables():
-    """Lookup tables of `_g17_rows`, built from Python integers: (scale,
+    """Lookup tables of `_g17_text`, built from Python integers: (scale,
     text). A writer builds them once per file, so they live only while it
     writes.
 
@@ -250,7 +255,7 @@ def _g17_tables():
     digit groups map 0..9999 to four characters as is, with leading zeros as
     NUL (a second variant keeps the last digit of 0) and with trailing zeros
     as NUL. The tables indexed by E - _G17_ELO give 10**s and 10**(17 - s)
-    for the shift s of `_g17_rows`, the zeros after "0." and the exponent.
+    for the shift s of `_g17_cells`, the zeros after "0." and the exponent.
     """
     high, low = [], []
     for k in range(_G17_KMIN, _G17_KMAX + 1):
@@ -273,9 +278,9 @@ def _g17_tables():
     groups[2][g < place] = 0
     groups[2][0, 3] = ord("0")                  # but 0 keeps one digit
     groups[3][g % (10 * place) == 0] = 0        # trailing zeros
-    signed_top = _words([""] + ["\0\0\0%d" % v for v in range(1, 10)]
-                        + ["\0\0-"] + ["\0\0-%d" % v for v in range(1, 10)])
-    last = _words([""] + [str(v) for v in range(1, 10)])
+    signed_top = ([""] + ["\0\0\0%d" % v for v in range(1, 10)]
+                  + ["\0\0-"] + ["\0\0-%d" % v for v in range(1, 10)])
+    last = [""] + [str(v) for v in range(1, 10)]
     shift, zeros, exp_head, exp_tail = [], [], [], []
     for e in range(_G17_ELO, 16 - _G17_KMIN + 1):
         fixed = -4 <= e < 17
@@ -286,10 +291,11 @@ def _g17_tables():
         exp_tail.append(text[-2:])
     shift = np.array(shift)
     pow10 = np.array([10 ** i for i in range(18)], np.int64)
+    signed_top, last, zeros, exp_head, exp_tail = (
+        _words(t)[:, 0] for t in (signed_top, last, zeros, exp_head, exp_tail))
     return ((high, *_split(high), np.array(low)),
             (groups.view("<u4").ravel(), signed_top, last, pow10[shift],
-             pow10[17 - shift], _words(zeros), _words(exp_head),
-             _words(exp_tail)))
+             pow10[17 - shift], zeros, exp_head, exp_tail))
 
 
 def _scaled(ax, k, scale):
@@ -374,13 +380,15 @@ def _g17_cells(x, tables):
     return out, exact
 
 
-def _g17_rows(values, tables) -> list:
-    """Each row of a 2-D float64 array as its values in `'%.17g' % v` text,
-    joined by commas, with the tables of `_g17_tables()`; the method is in
-    the module docstring.
+def _g17_text(values, tables, words=None) -> str:
+    """The rows of a 2-D float64 array as `'%.17g' % v` text, byte for
+    byte, with the tables of `_g17_tables()`: each row's values joined by
+    commas and ended by a newline. The method is in the module docstring.
 
-    The digits, the cells and the text are built by separate functions, so
-    the temporaries of one stage are freed before the next allocates.
+    `words` maps a column to text written just before its value in every
+    row: NUL-padded uint32 words (`_words`), one row of them for each row or
+    one for all. The text holds no NUL, since NUL is deleted with the
+    padding.
     """
     values = np.asarray(values, np.float64)
     rows, cols = values.shape
@@ -396,6 +404,17 @@ def _g17_rows(values, tables) -> list:
         out[:11, slow] = np.frombuffer(text, "<u4").reshape(-1, 11).T
         out[11, slow] &= 0xFF << 16
     # a word that is NUL in every cell adds nothing; dropping it first
-    # shortens the bytes the deletion scans
-    text = out[out.any(axis=1)].T.tobytes().translate(None, b"\0")
-    return text.decode("ascii").split("\n")[:-1]
+    # shortens the copies and the bytes the deletion scans
+    out = out[out.any(axis=1)]
+    cells = out.reshape(len(out), rows, cols).transpose(1, 2, 0)
+    words, pieces = words or {}, []
+    for column in range(cols):
+        if column in words:
+            pieces.append(words[column])
+        pieces.append(cells[:, column])
+    block = np.empty((rows, sum(p.shape[-1] for p in pieces)), "<u4")
+    pos = 0
+    for piece in pieces:
+        block[:, pos:pos + piece.shape[-1]] = piece
+        pos += piece.shape[-1]
+    return block.tobytes().translate(None, b"\0").decode()

@@ -154,12 +154,15 @@ def _candidate_pairs(lines, threshold):
     because rounding is monotone, and a node distance below the threshold
     bounds every |a_k - b_k| unless a_k - b_k squares below the normal range;
     the 1e-150 floor covers that case. So no pair with a contact is skipped.
-    fmin/fmax ignore NaN nodes, which never make a contact.
+    fmin/fmax ignore NaN nodes, which never make a contact. The boxes are
+    reduced from the stacked nodes, so every line needs a node.
     """
     if len(lines) < 2:
         return []
-    lo = np.array([np.fmin.reduce(l.nodes) for l in lines])
-    hi = np.array([np.fmax.reduce(l.nodes) for l in lines])
+    nodes = np.concatenate([l.nodes for l in lines])
+    starts = np.cumsum([0] + [len(l.nodes) for l in lines[:-1]])
+    lo = np.fmin.reduceat(nodes, starts)
+    hi = np.fmax.reduceat(nodes, starts)
     near = np.all(lo[:, None, :] - hi[None, :, :] < max(threshold, 1e-150),
                   axis=2)
     return np.argwhere(np.triu(near & near.T, 1)).tolist()

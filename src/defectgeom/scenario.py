@@ -207,10 +207,14 @@ def parse_scenario(doc: dict) -> Scenario:
             line_id = lobj.get("id", f"line{i}")
             if not isinstance(line_id, str):
                 raise ScenarioError(f"{path}.id: expected a string")
-            if any(c in line_id for c in ',"\r\n'):
+            if any(c in line_id for c in ',"\r\n\0'):
                 raise ScenarioError(f"{path}.id: {line_id!r} holds a comma, "
-                                    "a double quote or a line break, which "
-                                    "would split its trajectory.csv field")
+                                    "a double quote, a line break or a NUL, "
+                                    "which its trajectory.csv field cannot "
+                                    "hold")
+            if "+" in line_id:
+                raise ScenarioError(f"{path}.id: {line_id!r} holds '+', "
+                                    "which joins the ids of merged lines")
             if line_id in ids:
                 raise ScenarioError(f"{path}.id: {line_id!r} is already the "
                                     f"id of $.dynamics.lines[{ids[line_id]}]")

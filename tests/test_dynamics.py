@@ -15,6 +15,8 @@ from defectgeom.dynamics import (
     solve_velocity,
     step_lines,
     transversality_defect,
+    _stack_lines,
+    _tangents,
 )
 
 from conftest import EXTENTS, run_steps
@@ -360,3 +362,104 @@ def test_external_force_must_be_a_3_vector():
     with pytest.raises(ValueError, match="3-vector"):
         DynamicsParams(Gamma=1.0, time_step=0.1, steps=1,
                        external_force=np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# stacked checks and tangents against DislocationLine
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("change", [
+    lambda l: {"nodes": np.vstack([l.nodes[:2], l.nodes[1:]])},
+    lambda l: {"nodes": np.where([[0], [0], [1], [0]], np.nan, l.nodes)},
+    lambda l: {"nodes": l.nodes[:, :2]},
+    lambda l: {"nodes": l.nodes[:1]},
+    lambda l: {"nodes": l.nodes[:2], "closed": True},
+    lambda l: {"burgers": np.zeros(3)},
+    lambda l: {"burgers": np.array([1.0, np.nan, 0.0])},
+    lambda l: {"mobility": 0.0},
+], ids=["repeated_node", "nan_node", "two_columns", "open_one_node",
+        "closed_two_nodes", "zero_burgers", "nan_burgers", "zero_mobility"])
+def test_stacked_checks_raise_the_constructor_message(change):
+    """A line changed after construction so that DislocationLine rejects it
+    makes step_lines raise the constructor's text, for the first such line
+    even when a later line is bad in another way."""
+    lines = [straight_line(x0=x) for x in (-0.5, 0.0, 0.5)]
+    for attr, value in change(lines[1]).items():
+        setattr(lines[1], attr, value)
+    lines[2].mobility = -1.0
+    with pytest.raises(ValueError) as want:
+        DislocationLine(lines[1].nodes, lines[1].burgers, lines[1].closed,
+                        lines[1].mobility, lines[1].id)
+    params = DynamicsParams(Gamma=1.0, time_step=0.01, steps=1)
+    with pytest.raises(ValueError) as got:
+        step_lines(lines, DisclinationField([]), params, EXTENTS)
+    assert str(got.value) == str(want.value)
+
+
+def test_step_leaves_input_lines_unchanged_and_unshared():
+    rng = np.random.default_rng(8)
+    lines = _random_lines(rng)
+    before = [(np.array(l.nodes), np.array(l.burgers)) for l in lines]
+    params = DynamicsParams(Gamma=1.5, time_step=0.01, steps=1,
+                            external_force=np.array([0.3, -0.2, 0.1]))
+    out, node_step, _ = step_lines(lines, DisclinationField([]), params)
+    assert len(out) == len(lines)
+    for line, (nodes, burgers) in zip(lines, before):
+        assert _bits(line.nodes) == _bits(nodes)
+        assert _bits(line.burgers) == _bits(burgers)
+    inputs = [a for l in lines for a in (l.nodes, l.burgers)]
+    for line in out:
+        for a in (line.nodes, line.burgers):
+            assert not any(np.shares_memory(a, b) for b in inputs)
+    assert not any(np.shares_memory(node_step.position, b) for b in inputs)
+
+
+def _line_tangents(line):
+    """Central differences of one line's nodes, rolled if it is closed: the
+    per-line reference for the stacked tangents."""
+    nodes = line.nodes
+    if line.closed:
+        t = np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0)
+    else:
+        t = np.empty_like(nodes)
+        t[1:-1] = nodes[2:] - nodes[:-2]
+        t[0] = nodes[1] - nodes[0]
+        t[-1] = nodes[-1] - nodes[-2]
+    norms = np.linalg.norm(t, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return t / norms
+
+
+def test_stacked_tangents_bit_equal_to_per_line_tangents():
+    """Random open and closed lines, plus a closed line that doubles back
+    (A, B, A), whose middle tangent is zero."""
+    rng = np.random.default_rng(9)
+    back = DislocationLine([[0, 0, 0], [0.1, 0, 0], [0, 0, 0]], [0, 0, 1.0],
+                           closed=True)
+    for _ in range(100):
+        lines = _random_lines(rng) + [back]
+        nodes, _, _, closed, counts = _stack_lines(lines)
+        want = np.concatenate([_line_tangents(l) for l in lines])
+        assert _bits(_tangents(nodes, closed, counts)) == _bits(want)
+        assert _bits(np.concatenate([l.tangents() for l in lines])) \
+            == _bits(want)
+    assert not back.tangents()[1].any()
+
+
+def test_lines_that_meet_end_to_start_pass_the_checks():
+    """The step from one line's last node to the next line's first node is
+    no segment of either line, so a zero length there is not checked."""
+    line = straight_line()
+    back = DislocationLine(line.nodes[::-1], line.burgers, id="back")
+    params = DynamicsParams(Gamma=1.0, time_step=0.01, steps=1)
+    out, node_step, _ = step_lines([line, back], DisclinationField([]),
+                                   params, EXTENTS)
+    assert [l.id for l in out] == ["L", "back"] and len(node_step) == 8
+
+
+def test_step_of_no_lines_is_empty():
+    params = DynamicsParams(Gamma=1.0, time_step=0.01, steps=1)
+    out, node_step, clips = step_lines([], DisclinationField([]), params,
+                                       EXTENTS)
+    assert out == [] and clips == [] and len(node_step) == 0
+    assert node_step.position.shape == (0, 3)

@@ -9,7 +9,7 @@ import pytest
 
 import defectgeom as dg
 from defectgeom.forms import ANTISYM, FormField, GridSpec, identity_coframe
-from defectgeom.io import _g17_rows, _g17_tables
+from defectgeom.io import _g17_tables, _g17_text
 
 from conftest import ROW_SHAPES, assert_same_lines, field_with_row_shapes
 
@@ -388,13 +388,18 @@ def test_csv_repeated_values_match_per_value_formatter(tmp_path, resolution):
 TABLES = _g17_tables()
 
 
+def g17_rows(values):
+    """The lines of `_g17_text`, without their newlines."""
+    return _g17_text(values, TABLES).split("\n")[:-1]
+
+
 def _assert_g17(values):
-    """`_g17_rows` of a one-column array gives `'%.17g' % v` for every v;
+    """`_g17_text` of a one-column array gives `'%.17g' % v` for every v;
     checked in blocks, and a failure names the first differing value."""
     values = np.asarray(values, np.float64).ravel()
     for lo in range(0, len(values), 65536):
         block = values[lo:lo + 65536]
-        got = _g17_rows(block[:, None], TABLES)
+        got = g17_rows(block[:, None])
         want = ["%.17g" % v for v in block.tolist()]
         assert len(got) == len(want)
         bad = next((i for i, (g, w) in enumerate(zip(got, want)) if g != w),
@@ -435,8 +440,7 @@ def test_g17_special_values():
                  np.nan, -np.nan, 1e16, 1e17, 9.9999999999999984e16,
                  0.0001, 9.9999999999999991e-05, 1e-05])
     _assert_g17(subnormals.view(np.float64))
-    assert _g17_rows(np.array([[0.0, -0.0, np.inf, -np.inf, np.nan]]),
-                     TABLES) \
+    assert g17_rows(np.array([[0.0, -0.0, np.inf, -np.inf, np.nan]])) \
         == ["0,-0,inf,-inf,nan"]
 
 
@@ -445,8 +449,7 @@ def test_g17_special_values():
     (1125899906842624.75, "1125899906842624.8")])
 def test_g17_exact_ties_round_half_even(value, text):
     assert "%.17g" % value == text
-    assert _g17_rows(np.array([[value], [-value]]), TABLES) \
-        == [text, "-" + text]
+    assert g17_rows(np.array([[value], [-value]])) == [text, "-" + text]
 
 
 def test_g17_exact_ties():
@@ -491,6 +494,6 @@ def test_g17_rows_join_columns():
     values = np.random.default_rng(24).normal(size=(300, 7))
     values[::5, 2] = 0.0
     values[::7, 4] = 1e-20
-    assert _g17_rows(values, TABLES) == [",".join("%.17g" % v for v in row)
-                                         for row in values.tolist()]
-    assert _g17_rows(np.empty((0, 13)), TABLES) == []
+    assert g17_rows(values) == [",".join("%.17g" % v for v in row)
+                                for row in values.tolist()]
+    assert _g17_text(np.empty((0, 13)), TABLES) == ""

@@ -326,3 +326,25 @@ def test_candidate_pairs_skip_distant_lines():
              for k, x in enumerate((-0.5, 0.0, 0.015, 0.5))]
     assert _candidate_pairs(lines, 0.02) == [[1, 2]]
     assert _candidate_pairs(lines[:1], 0.02) == []
+
+
+def test_candidate_pairs_match_per_line_boxes():
+    """The stacked reduceat boxes give the pairs of per-line fmin/fmax
+    boxes, also when NaN nodes (set after construction) sit in the lines."""
+    rng = np.random.default_rng(4)
+    found = 0
+    for trial in range(200):
+        threshold = rng.uniform(0.01, 0.08)
+        lines = _near_threshold_lines(rng, threshold)
+        for line in lines[:trial % 3]:
+            line.nodes[rng.integers(len(line.nodes)),
+                       rng.integers(3)] = np.nan
+        if trial % 5 == 4:
+            lines[-1].nodes[:, rng.integers(3)] = np.nan
+        lo = np.array([np.fmin.reduce(l.nodes) for l in lines])
+        hi = np.array([np.fmax.reduce(l.nodes) for l in lines])
+        near = np.all(lo[:, None, :] - hi[None, :, :] < threshold, axis=2)
+        want = np.argwhere(np.triu(near & near.T, 1)).tolist()
+        assert _candidate_pairs(lines, threshold) == want
+        found += len(want)
+    assert found > 200

@@ -14,6 +14,7 @@ import pytest
 import defectgeom as dg
 from defectgeom import cli
 from defectgeom.cli import main
+from defectgeom.dynamics import NodeStep
 from defectgeom.scenario import ScenarioError, parse_scenario
 
 from conftest import assert_same_lines
@@ -699,7 +700,7 @@ def test_cli_simulate_writes_clip_events(tmp_path):
 
 def per_row_trajectory(node_steps):
     """trajectory.csv as the per-row %.17g template writes it: the reference
-    for the block kernel `cli._write_trajectory` uses."""
+    for the block kernel that `cli._write_trajectory` uses."""
     row = "%d,%s,%d," + ",".join(["%.17g"] * 13) + "\n"
     text = ["step,line_id,node,px,py,pz,vx,vy,vz,"
             "fx_ext,fy_ext,fz_ext,fx_mag,fy_mag,fz_mag,transversality\n"]
@@ -771,12 +772,13 @@ def test_cli_trajectory_matches_per_row_template(tmp_path, monkeypatch,
                       per_row_trajectory(seen[0]))
 
 
-@pytest.mark.parametrize("line_id", ["a,b", 'say "a"', "a\nb", "a\rb"])
+@pytest.mark.parametrize("line_id", ["a,b", 'say "a"', "a\nb", "a\rb",
+                                     "a\0b"])
 def test_cli_line_id_that_would_split_a_csv_field_exit_1(tmp_path, capsys,
                                                          line_id):
     """A line id holding a comma, a double quote or a line break would give
-    a trajectory row more fields than the header, so it is a config
-    error."""
+    a trajectory row more fields than the header, and the trajectory writer
+    deletes NUL, so each is a config error."""
     doc = json.loads((SCENARIOS / "magnus.json").read_text())
     doc["dynamics"]["lines"][0]["id"] = line_id
     code, out = run_cli(tmp_path, "simulate", write_scenario(tmp_path, doc))
@@ -784,3 +786,78 @@ def test_cli_line_id_that_would_split_a_csv_field_exit_1(tmp_path, capsys,
     assert f"$.dynamics.lines[0].id: {line_id!r} holds a comma" \
         in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_merged_id_cannot_repeat_an_explicit_id(tmp_path, capsys):
+    """A merge names its line "a+b", so an explicit id holding '+', such as
+    "plus+minus" beside lines "plus" and "minus" that merge, could name two
+    live lines and key two trajectory rows alike: it is a config error."""
+    doc = json.loads((SCENARIOS / "annihilation.json").read_text())
+    doc["dynamics"]["lines"][1]["burgers"] = [0.0, 0.0, 1.0]
+    doc["dynamics"]["lines"].append({
+        "nodes": [[1.0, 0.0, -0.3], [1.0, 0.0, 0.0], [1.0, 0.0, 0.3]],
+        "burgers": [1.0, 0.0, 0.0], "id": "plus+minus"})
+    code, out = run_cli(tmp_path, "simulate", write_scenario(tmp_path, doc))
+    assert code == 1
+    assert "$.dynamics.lines[2].id: 'plus+minus' holds '+'" \
+        in capsys.readouterr().err
+    assert not out.exists()
+    del doc["dynamics"]["lines"][2]
+    code, out = run_cli(tmp_path, "simulate", write_scenario(tmp_path, doc))
+    final = json.loads((out / "network_final.json").read_text())
+    assert code == 0 and [l["id"] for l in final["lines"]] == ["plus+minus"]
+
+
+TRAJECTORY_IDS = ["a", "bb", "ccc", "dddd", "eeeee", "ffffff", "ggggggg",
+                  "hhhhhhhh", "iiiiiiiii"]
+
+
+def hand_built_steps(rng, sizes, ext):
+    """NodeSteps of the given row counts with ids of 1 to 9 characters, node
+    indices up to 149 and values that take the kernel's slow path in the
+    position and velocity columns and in the force and defect columns."""
+    steps = []
+    for n in sizes:
+        values = rng.normal(size=(n, 10)) * 10.0 ** rng.integers(-20, 20,
+                                                                  (n, 10))
+        slow = rng.random((n, 10)) < 0.05
+        values[slow] = rng.choice([1e-300, -1e300, np.inf, -np.inf, np.nan,
+                                   0.0, -0.0, 1125899906842624.25],
+                                  slow.sum())
+        steps.append(NodeStep(
+            line_ids=[TRAJECTORY_IDS[k] for k in rng.integers(0, 9, n)],
+            node=rng.integers(0, 150, n), position=values[:, 0:3],
+            velocity=values[:, 3:6], f_ext=np.broadcast_to(ext, (n, 3)),
+            f_magnus=values[:, 6:9], transversality=values[:, 9]))
+    return steps
+
+
+@pytest.mark.parametrize("ext", [[-0.0, 5e-324, 0.3],
+                                 [2.5e-310, -1e-5, -0.0]])
+def test_write_trajectory_matches_per_row_template_at_the_edges(tmp_path,
+                                                                ext):
+    """Hand-built steps: empty ones, more than 10 steps, blocks that end on
+    a step boundary (after steps 3 and 4), a step longer than a block and
+    blocks shared by several steps."""
+    assert cli.TRAJECTORY_BLOCK_ROWS == 512
+    sizes = [0, 3, 0, 509, 512, 700, 1, 0, 5, 300, 212, 2, 0]
+    steps = hand_built_steps(np.random.default_rng(31), sizes,
+                             np.array(ext))
+    path = tmp_path / "trajectory.csv"
+    cli._write_trajectory(path, steps)
+    assert_same_lines(path.read_text(), per_row_trajectory(steps))
+    for few in ([], steps[:1], steps[:3]):
+        cli._write_trajectory(path, few)
+        assert path.read_text() == per_row_trajectory(few)
+
+
+def test_write_trajectory_needs_one_external_force(tmp_path):
+    """The external-force cells are formatted once per file, so rows whose
+    f_ext bits differ from the first row's (here only in the sign of a
+    zero) are refused."""
+    rng = np.random.default_rng(32)
+    steps = hand_built_steps(rng, [4, 4], np.array([0.0, 1.0, 2.0]))
+    steps[1].f_ext = np.array(steps[1].f_ext)
+    steps[1].f_ext[2, 0] = -0.0
+    with pytest.raises(ValueError, match="more than one external force"):
+        cli._write_trajectory(tmp_path / "trajectory.csv", steps)
