@@ -63,10 +63,11 @@ print(f"control run with Gamma = 0 ends at {np.round(straight[0].nodes[0], 3)}"
 
 print("\n|F . v| over the slip-plane velocity directions "
       "(uniformly zero to rounding):")
-for k in (0, 8, 16, 24):
-    phi = 2 * np.pi * k / 64
-    vv = np.array([np.cos(phi), np.sin(phi), 0.0])
-    f = magnus_force(np.array([0, 0, 0.05]), np.array([1.0, 0, 0]), vv, 2.0,
-                     CROSS_PRODUCT)
+phis = 2 * np.pi * np.array([0, 8, 16, 24]) / 64
+vs = np.column_stack([np.cos(phis), np.sin(phis), np.zeros(4)])
+# one call evaluates the law for all four velocities
+fs = magnus_force(np.array([0, 0, 0.05]), np.array([1.0, 0, 0]), vs, 2.0,
+                  CROSS_PRODUCT)
+for phi, f, vv in zip(phis, fs, vs):
     print(f"  phi = {phi:.2f}: |F . v| = {abs(np.dot(f, vv)):.1e}, "
           f"|F| = {np.linalg.norm(f):.3f}")

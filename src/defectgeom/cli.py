@@ -31,7 +31,7 @@ from .defects import (
     curvature,
     frank_angles,
 )
-from .dynamics import magnus_force, step_lines, transversality_defect
+from .dynamics import _dot, magnus_force, step_lines, transversality_defect
 from .field_theory import (
     bianchi_residuals,
     el_coframe_residual,
@@ -367,7 +367,8 @@ def cmd_simulate(scenario: Scenario, out: Path, scale: int) -> int:
                                                    step=step)
             all_events.extend(events)
 
-    _write_trajectory(out / "trajectory.csv", node_steps)
+    _write_trajectory(out / "trajectory.csv", node_steps,
+                      params.external_force)
 
     with open(out / "events.jsonl", "w", encoding="utf-8") as fh:
         for ev in all_events:
@@ -395,24 +396,21 @@ def cmd_simulate(scenario: Scenario, out: Path, scale: int) -> int:
     return EXIT_OK
 
 
-def _write_trajectory(path, node_steps):
+def _write_trajectory(path, node_steps, external_force):
     """One row per node and step; floats in %.17g, which round-trips.
 
     Rows go out in blocks of TRAJECTORY_BLOCK_ROWS, which span steps, and
     one `io._g17_text` call formats a block's 10 varying float columns. The
     text of `step,line_id,node,` comes from word tables of the file's step
-    numbers, line ids and node indices. step_lines gives every f_ext row the
-    external force, so its three cells are formatted once per file; a row
-    whose bits differ raises ValueError. A line id holds no NUL (the
-    scenario parser rejects it), because the kernel deletes NUL.
+    numbers, line ids and node indices. Every row carries the one uniform
+    external force, whose three cells are formatted once per file. A line
+    id holds no NUL (the scenario parser rejects it), because the kernel
+    deletes NUL.
     """
     tables = _g17_tables()
     steps = [s for s in node_steps if len(s)]
-    ext = steps[0].f_ext[0] if steps else np.zeros(3)
-    if not all((s.f_ext.view(np.uint64) == ext.view(np.uint64)).all()
-               for s in steps):
-        raise ValueError("trajectory rows hold more than one external force")
-    ext_words = _words(["".join("%.17g," % v for v in ext.tolist())])
+    ext_words = _words(["".join("%.17g," % v for v in
+                                np.asarray(external_force, float).tolist())])
     step_words = _words(["%d," % k for k in range(len(node_steps))])
     slots = {line_id: k for k, line_id in enumerate(dict.fromkeys(
         chain.from_iterable(s.line_ids for s in steps)))}
@@ -458,21 +456,19 @@ def _write_transversality_map(path, scenario: Scenario, disc):
     theta = disc.theta_at(line.nodes[:1])[0]
     b = np.asarray(line.burgers, float)
     params = scenario.dynamics
-    rows = []
-    for k in range(64):
-        phi = 2 * np.pi * k / 64
-        v = np.array([np.cos(phi), np.sin(phi), 0.0])
-        f = magnus_force(theta, b, v, params.Gamma, params.force_law,
-                         tangent=np.array([0.0, 0.0, 1.0]))
-        rows.append((phi, *v, *f, float(abs(np.dot(f, v))),
-                     transversality_defect(f, v)))
+    phi = 2 * np.pi * np.arange(64) / 64
+    v = np.column_stack([np.cos(phi), np.sin(phi), np.zeros(64)])
+    f = magnus_force(theta, b, v, params.Gamma, params.force_law,
+                     tangent=np.array([0.0, 0.0, 1.0]))
+    rows = np.column_stack([phi, v, f, np.abs(_dot(f, v)),
+                            transversality_defect(f, v)])
     bad = ~np.isfinite(rows).all(axis=1)
     if bad.any():
         raise ValueError(f"non-finite transversality data in {path.name} "
                          f"at phi = {rows[np.argmax(bad)][0]:.17g}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("phi,vx,vy,vz,fx,fy,fz,f_dot_v_abs,transversality\n")
-        for row in rows:
+        for row in rows.tolist():
             fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
 
 

@@ -37,7 +37,10 @@ class DislocationLine:
         need = 3 if self.closed else 2
         if len(self.nodes) < need:
             raise ValueError(f"line needs at least {need} nodes")
-        seg = np.linalg.norm(np.diff(self.nodes, axis=0), axis=1)
+        ring = self.nodes
+        if self.closed:  # the last node and the first are consecutive too
+            ring = np.vstack([ring, ring[:1]])
+        seg = np.linalg.norm(np.diff(ring, axis=0), axis=1)
         # a non-finite node makes a segment next to it inf or NaN, so
         # finite segment lengths need no pass over the nodes
         if not seg.max() < np.inf and not np.all(np.isfinite(self.nodes)):
@@ -124,6 +127,21 @@ class DynamicsParams:
         object.__setattr__(self, "external_force", ext)
 
 
+def _law(theta, burgers, Gamma, law, tangent):
+    """(c, a) with F_curv(v) = c (a x v), over the operands' leading axes."""
+    theta = np.asarray(theta, float)
+    burgers = np.asarray(burgers, float)
+    if law == CROSS_PRODUCT:
+        return Gamma, np.cross(theta, burgers)
+    if law != DERIVATION_CONSISTENT:
+        raise ValueError(f"unknown force law {law!r}")
+    if tangent is None:
+        raise ValueError("derivation-consistent law needs the line tangent")
+    tangent = np.asarray(tangent, float)
+    coeff = Gamma * _dot(theta, tangent) * _dot(burgers, tangent)
+    return coeff[..., None], tangent
+
+
 def magnus_force(theta, burgers, velocity, Gamma, law=CROSS_PRODUCT,
                  tangent=None) -> np.ndarray:
     """Transverse configurational force on a moving dislocation.
@@ -133,32 +151,12 @@ def magnus_force(theta, burgers, velocity, Gamma, law=CROSS_PRODUCT,
 
     The two differ when Theta and b are parallel: the cross form vanishes
     there while the projected form keeps the transverse magnitude
-    Gamma Theta b v_perp. Both are exactly work-free.
+    Gamma Theta b v_perp. Both are exactly work-free. The vector operands
+    have shape (..., 3) and broadcast, so one call evaluates a stack of
+    nodes with the bits of one call per node.
     """
-    theta = np.asarray(theta, float)
-    burgers = np.asarray(burgers, float)
-    velocity = np.asarray(velocity, float)
-    if law == CROSS_PRODUCT:
-        return Gamma * np.cross(np.cross(theta, burgers), velocity)
-    if tangent is None:
-        raise ValueError("derivation-consistent law needs the line tangent")
-    tangent = np.asarray(tangent, float)
-    coeff = Gamma * float(np.dot(theta, tangent)) * float(np.dot(burgers, tangent))
-    return coeff * np.cross(tangent, velocity)
-
-
-def _magnus_matrix(theta, burgers, Gamma, law, tangent):
-    """Antisymmetric A with F_curv(v) = A v."""
-    if law == CROSS_PRODUCT:
-        w = Gamma * np.cross(theta, burgers)
-    else:
-        if tangent is None:
-            raise ValueError("derivation-consistent law needs the line tangent")
-        w = Gamma * float(np.dot(theta, tangent)) \
-            * float(np.dot(burgers, tangent)) * np.asarray(tangent, float)
-    return np.array([[0.0, -w[2], w[1]],
-                     [w[2], 0.0, -w[0]],
-                     [-w[1], w[0], 0.0]])
+    c, a = _law(theta, burgers, Gamma, law, tangent)
+    return c * np.cross(a, np.asarray(velocity, float))
 
 
 def solve_velocity(f_ext, theta, burgers, Gamma, mobility,
@@ -167,13 +165,20 @@ def solve_velocity(f_ext, theta, burgers, Gamma, mobility,
 
     The system matrix I - M A is nonsingular for every finite Gamma because
     A is antisymmetric (its eigenvalues are imaginary), which also bounds
-    the speed by M |F_ext|.
+    the speed by M |F_ext|. Vector operands have shape (..., 3), mobility
+    shape (...), and they broadcast; a stack is solved as one batch of 3x3
+    systems, each with the bits of its own call.
     """
-    f_ext = np.asarray(f_ext, float)
-    A = _magnus_matrix(theta, burgers, Gamma, law, tangent)
-    lhs = np.eye(3) - mobility * A
+    c, a = _law(theta, burgers, Gamma, law, tangent)
+    m = np.asarray(mobility, float)[..., None]
+    w, rhs = np.broadcast_arrays(c * a, m * np.asarray(f_ext, float))
+    A = np.zeros(w.shape + (3,))
+    A[..., 0, 1], A[..., 0, 2] = -w[..., 2], w[..., 1]
+    A[..., 1, 0], A[..., 1, 2] = w[..., 2], -w[..., 0]
+    A[..., 2, 0], A[..., 2, 1] = -w[..., 1], w[..., 0]
+    lhs = np.eye(3) - m[..., None] * A
     try:
-        return np.linalg.solve(lhs, mobility * f_ext)
+        return np.linalg.solve(lhs, rhs[..., None])[..., 0]
     except np.linalg.LinAlgError as err:  # unreachable for antisymmetric A
         raise ValueError("singular velocity system") from err
 
@@ -186,11 +191,14 @@ class ClipEvent:
     position: np.ndarray
 
 
-def transversality_defect(f_magnus, velocity) -> float:
+def transversality_defect(f_magnus, velocity):
+    """|F . v| / (|F| |v|): a float for one pair of 3-vectors, an array over
+    the leading axes of (..., 3) operands."""
     fm = np.asarray(f_magnus, float)
     v = np.asarray(velocity, float)
-    return float(abs(np.dot(fm, v))
-                 / (np.linalg.norm(fm) * np.linalg.norm(v) + _TINY))
+    d = np.abs(_dot(fm, v)) / (np.sqrt(_dot(fm, fm)) * np.sqrt(_dot(v, v))
+                               + _TINY)
+    return d if d.ndim else float(d)
 
 
 @dataclass
@@ -205,7 +213,6 @@ class NodeStep:
     node: np.ndarray
     position: np.ndarray
     velocity: np.ndarray
-    f_ext: np.ndarray
     f_magnus: np.ndarray
     transversality: np.ndarray
 
@@ -215,12 +222,13 @@ class NodeStep:
 
 
 def _dot(a, b):
-    """Row-wise dot products of (n, 3) arrays, bit-equal to np.dot per row.
+    """Dot products over the last axis of broadcasting (..., 3) arrays,
+    bit-equal to np.dot per vector.
 
     matmul of (1, 3) by (3, 1) runs the same dot kernel as np.dot on 1-D
-    arrays; einsum and sum(axis=1) add in another order.
+    arrays; einsum and sum(axis=-1) add in another order.
     """
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _stack_lines(lines):
@@ -229,9 +237,10 @@ def _stack_lines(lines):
 
     The checks are the constructor's, on the stacked arrays. A line of at
     least two nodes has a segment next to each node, so its nodes are all
-    finite exactly when its segment lengths are; the segments that join two
-    lines are not read. Attributes that do not stack as the constructor
-    converts them also give None.
+    finite exactly when its segment lengths are. The segments that join two
+    lines are not read; the one from a closed line's last node back to its
+    first is. Attributes that do not stack as the constructor converts them
+    also give None.
     """
     try:
         nodes = np.concatenate([np.empty((0, 3)), *(l.nodes for l in lines)])
@@ -247,9 +256,12 @@ def _stack_lines(lines):
     if nodes.dtype != np.float64 \
             or not np.all(counts >= np.where(closed, 3, 2)):
         return None
+    ends = np.cumsum(counts) - 1
     seg = np.linalg.norm(np.diff(nodes, axis=0), axis=1)
-    seg[np.cumsum(counts)[:-1] - 1] = 1.0
+    seg[ends[:-1]] = 1.0
+    loop = np.linalg.norm(nodes[ends - counts + 1] - nodes[ends], axis=1)
     if not (np.isfinite(nodes).all() and np.all(seg > 0)
+            and np.all(loop[closed] > 0)
             and np.isfinite(burgers).all() and burgers.any(axis=1).all()):
         return None
     return nodes, burgers, mobility, closed, counts
@@ -285,10 +297,9 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
 
     The lines are checked and differentiated as one stacked array: a line
     that fails a check of DislocationLine raises the constructor's
-    ValueError, for the first such line. All nodes are solved as one
-    stacked (n, 3, 3) system with the arithmetic of solve_velocity,
-    magnus_force, transversality_defect and DislocationLine.tangents, so
-    each node gets the bits of the per-node functions. The input lines are
+    ValueError, for the first such line. solve_velocity, magnus_force and
+    transversality_defect then take all nodes in one stacked call each, so
+    each node gets the bits of a per-node call. The input lines are
     not changed; each surviving line is a copy at its moved nodes (a view
     of one new array unless nodes were clipped), which are not checked
     again.
@@ -305,58 +316,33 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
                                                counts)
     tans = _tangents(nodes, closed, counts)
     burgers = line_burgers[line_of]
-    mobility = line_mobility[line_of]
     thetas = disclinations.theta_at(nodes)
-    f_ext = np.broadcast_to(params.external_force, nodes.shape)
-    Gamma = params.Gamma
+    Gamma, law = params.Gamma, params.force_law
+    v = solve_velocity(params.external_force, thetas, burgers, Gamma,
+                       line_mobility[line_of], law, tans)
+    fm = magnus_force(thetas, burgers, v, Gamma, law, tans)
 
-    if params.force_law == CROSS_PRODUCT:
-        theta_x_b = np.cross(thetas, burgers)
-        w = Gamma * theta_x_b
-    else:
-        coeff = Gamma * _dot(thetas, tans) * _dot(burgers, tans)
-        w = coeff[:, None] * tans
-    A = np.zeros((len(nodes), 3, 3))
-    A[:, 0, 1], A[:, 0, 2] = -w[:, 2], w[:, 1]
-    A[:, 1, 0], A[:, 1, 2] = w[:, 2], -w[:, 0]
-    A[:, 2, 0], A[:, 2, 1] = -w[:, 1], w[:, 0]
-    lhs = np.eye(3) - mobility[:, None, None] * A
-    rhs = mobility[:, None] * f_ext
-    try:
-        v = np.linalg.solve(lhs, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError as err:  # unreachable for antisymmetric A
-        raise ValueError("singular velocity system") from err
-    if params.force_law == CROSS_PRODUCT:
-        fm = Gamma * np.cross(theta_x_b, v)
-    else:
-        fm = coeff[:, None] * np.cross(tans, v)
+    def check_finite(finite, what):
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ValueError(
+                f"non-finite {what} at step {step}: line "
+                f"{lines[line_of[i]].id!r} node {node[i]} has velocity "
+                f"{v[i].tolist()} and force {fm[i].tolist()}")
 
-    bad = ~(np.isfinite(v).all(axis=1) & np.isfinite(fm).all(axis=1))
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"non-finite dynamics at step {step}: line "
-            f"{lines[line_of[i]].id!r} node {node[i]} has velocity "
-            f"{v[i].tolist()} and force {fm[i].tolist()}")
-    speed = np.sqrt(_dot(v, v))
+    check_finite(np.isfinite(v).all(axis=1) & np.isfinite(fm).all(axis=1),
+                 "dynamics")
     if extents is not None:
         min_span = min(hi - lo for lo, hi in extents)
-        travel = params.time_step * speed
+        travel = params.time_step * np.sqrt(_dot(v, v))
         too_far = travel > 0.1 * min_span
         if too_far.any():
             raise ValueError(
                 "time step too large: node displacement "
                 f"{travel[np.argmax(too_far)]:.3g} exceeds 0.1 * domain span")
-    transversality = np.abs(_dot(fm, v)) \
-        / (np.sqrt(_dot(fm, fm)) * speed + _TINY)
+    transversality = transversality_defect(fm, v)
     # |F|^2 and F . v can overflow although F and v are finite
-    bad = ~np.isfinite(transversality)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(
-            f"non-finite transversality at step {step}: line "
-            f"{lines[line_of[i]].id!r} node {node[i]} has velocity "
-            f"{v[i].tolist()} and force {fm[i].tolist()}")
+    check_finite(np.isfinite(transversality), "transversality")
     moved = nodes + params.time_step * v
 
     inside = np.ones(len(moved), bool)
@@ -383,5 +369,5 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
     ids = np.array([line.id for line in lines], object)
     return survivors, NodeStep(
         line_ids=np.repeat(ids, counts).tolist(), node=node,
-        position=nodes, velocity=v, f_ext=f_ext, f_magnus=fm,
+        position=nodes, velocity=v, f_magnus=fm,
         transversality=transversality), clips

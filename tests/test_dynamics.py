@@ -61,6 +61,69 @@ def test_derivation_law_needs_tangent():
                      DERIVATION_CONSISTENT)
 
 
+@pytest.mark.parametrize("law", ["crossproduct", "Cross"])
+def test_unknown_force_law_is_refused(law):
+    """A law name that is neither 'cross' nor 'derivation' is an error, not
+    the derivation law."""
+    with pytest.raises(ValueError, match=f"^unknown force law '{law}'$"):
+        magnus_force([0, 0, 0.1], [0, 0, 1], [0.5, 0, 0], 1.0, law, ZHAT)
+    with pytest.raises(ValueError, match=f"^unknown force law '{law}'$"):
+        solve_velocity([0.3, 0, 0], [0, 0, 0.1], [0, 0, 1], 1.0, 1.0, law,
+                       ZHAT)
+
+
+def _per_row(f, *operands):
+    """f called once per row of the (n, 3) and (n,) operands, stacked."""
+    return np.array([f(*row) for row in zip(*operands)])
+
+
+@pytest.mark.parametrize("law", [CROSS_PRODUCT, DERIVATION_CONSISTENT])
+def test_stacked_calls_bit_equal_to_per_row_calls(law):
+    """magnus_force, solve_velocity and transversality_defect on stacked
+    operands give every row the bits of a call on that row alone, with
+    magnitudes from 1e-3 to 1e3."""
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        n = int(rng.integers(1, 40))
+        f_ext, theta, b, t = rng.normal(size=(4, n, 3)) \
+            * 10.0 ** rng.uniform(-3, 3, (4, n, 1))
+        t /= np.linalg.norm(t, axis=1, keepdims=True)
+        mobility = 10.0 ** rng.uniform(-3, 3, n)
+        Gamma = float(10.0 ** rng.uniform(-3, 3))
+        v = solve_velocity(f_ext, theta, b, Gamma, mobility, law, t)
+        assert _bits(v) == _bits(_per_row(
+            lambda fi, th, bi, mi, ti: solve_velocity(fi, th, bi, Gamma, mi,
+                                                      law, ti),
+            f_ext, theta, b, mobility, t))
+        f = magnus_force(theta, b, v, Gamma, law, t)
+        assert _bits(f) == _bits(_per_row(
+            lambda th, bi, vi, ti: magnus_force(th, bi, vi, Gamma, law, ti),
+            theta, b, v, t))
+        d = transversality_defect(f, v)
+        assert d.shape == (n,)
+        assert _bits(d) == _bits(_per_row(transversality_defect, f, v))
+
+
+@pytest.mark.parametrize("law", [CROSS_PRODUCT, DERIVATION_CONSISTENT])
+def test_single_operands_broadcast_against_stacked_velocities(law):
+    """Theta, b and t of shape (3,) against velocities of shape (n, 3), as
+    the transversality map calls them: each row has its per-row bits, and a
+    single pair of vectors gives a float."""
+    rng = np.random.default_rng(13)
+    theta, b, t = rng.normal(size=(3, 3))
+    t /= np.linalg.norm(t)
+    v = rng.normal(size=(64, 3))
+    f = magnus_force(theta, b, v, 1.7, law, t)
+    assert _bits(f) == _bits(_per_row(
+        lambda vi: magnus_force(theta, b, vi, 1.7, law, t), v))
+    assert _bits(transversality_defect(f, v)) \
+        == _bits(_per_row(transversality_defect, f, v))
+    assert type(transversality_defect(f[0], v[0])) is float
+    u = solve_velocity(v, theta, b, 1.7, 0.8, law, t)
+    assert _bits(u) == _bits(_per_row(
+        lambda fi: solve_velocity(fi, theta, b, 1.7, 0.8, law, t), v))
+
+
 def test_both_laws_do_no_work():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -326,7 +389,6 @@ def test_stacked_step_bit_equal_to_per_node_solve():
                 == (line_id, k)
             assert _bits(node_step.position[i]) == _bits(pos)
             assert _bits(node_step.velocity[i]) == _bits(v)
-            assert _bits(node_step.f_ext[i]) == _bits(params.external_force)
             assert _bits(node_step.f_magnus[i]) == _bits(fm)
             assert _bits(node_step.transversality[i]) == _bits(tr)
         assert [l.id for l in out] == [l.id for l in lines]
@@ -377,8 +439,10 @@ def test_external_force_must_be_a_3_vector():
     lambda l: {"burgers": np.zeros(3)},
     lambda l: {"burgers": np.array([1.0, np.nan, 0.0])},
     lambda l: {"mobility": 0.0},
+    lambda l: {"nodes": np.vstack([l.nodes, l.nodes[:1]]), "closed": True},
 ], ids=["repeated_node", "nan_node", "two_columns", "open_one_node",
-        "closed_two_nodes", "zero_burgers", "nan_burgers", "zero_mobility"])
+        "closed_two_nodes", "zero_burgers", "nan_burgers", "zero_mobility",
+        "closed_repeated_endpoint"])
 def test_stacked_checks_raise_the_constructor_message(change):
     """A line changed after construction so that DislocationLine rejects it
     makes step_lines raise the constructor's text, for the first such line
@@ -432,10 +496,10 @@ def _line_tangents(line):
 
 def test_stacked_tangents_bit_equal_to_per_line_tangents():
     """Random open and closed lines, plus a closed line that doubles back
-    (A, B, A), whose middle tangent is zero."""
+    (A, B, C, B), whose tangent at C is zero."""
     rng = np.random.default_rng(9)
-    back = DislocationLine([[0, 0, 0], [0.1, 0, 0], [0, 0, 0]], [0, 0, 1.0],
-                           closed=True)
+    back = DislocationLine([[0, 0, 0], [0.1, 0, 0], [0.1, 0.1, 0],
+                            [0.1, 0, 0]], [0, 0, 1.0], closed=True)
     for _ in range(100):
         lines = _random_lines(rng) + [back]
         nodes, _, _, closed, counts = _stack_lines(lines)
@@ -443,7 +507,7 @@ def test_stacked_tangents_bit_equal_to_per_line_tangents():
         assert _bits(_tangents(nodes, closed, counts)) == _bits(want)
         assert _bits(np.concatenate([l.tangents() for l in lines])) \
             == _bits(want)
-    assert not back.tangents()[1].any()
+    assert not back.tangents()[2].any()
 
 
 def test_lines_that_meet_end_to_start_pass_the_checks():

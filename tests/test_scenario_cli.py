@@ -698,15 +698,17 @@ def test_cli_simulate_writes_clip_events(tmp_path):
 # trajectory.csv
 # ---------------------------------------------------------------------------
 
-def per_row_trajectory(node_steps):
+def per_row_trajectory(node_steps, external_force):
     """trajectory.csv as the per-row %.17g template writes it: the reference
     for the block kernel that `cli._write_trajectory` uses."""
     row = "%d,%s,%d," + ",".join(["%.17g"] * 13) + "\n"
     text = ["step,line_id,node,px,py,pz,vx,vy,vz,"
             "fx_ext,fy_ext,fz_ext,fx_mag,fy_mag,fz_mag,transversality\n"]
     for step, s in enumerate(node_steps):
-        values = np.column_stack([s.position, s.velocity, s.f_ext,
-                                  s.f_magnus, s.transversality]).tolist()
+        values = np.column_stack([
+            s.position, s.velocity,
+            np.broadcast_to(external_force, (len(s), 3)), s.f_magnus,
+            s.transversality]).tolist()
         text.extend(row % (step, line_id, k, *vals) for line_id, k, vals
                     in zip(s.line_ids, s.node.tolist(), values))
     return "".join(text)
@@ -743,33 +745,46 @@ def network_doc():
     return doc
 
 
-@pytest.mark.parametrize("scenario", ["magnus", "annihilation", "clip",
-                                      "network"])
+def magnus_cross_doc():
+    """magnus.json under the cross law with b = x-hat, so Theta x b is not
+    zero and the transverse force is."""
+    doc = json.loads((SCENARIOS / "magnus.json").read_text())
+    doc["dynamics"]["force_law"] = "cross"
+    doc["dynamics"]["lines"][0]["burgers"] = [1.0, 0.0, 0.0]
+    return doc
+
+
+@pytest.mark.parametrize("scenario", ["magnus", "magnus_cross",
+                                      "annihilation", "clip", "network"])
 def test_cli_trajectory_matches_per_row_template(tmp_path, monkeypatch,
                                                  scenario):
     """trajectory.csv is byte for byte the text of the per-row %.17g
     template on the node steps `simulate` hands to the writer."""
     if scenario in ("magnus", "annihilation"):
         path = SCENARIOS / f"{scenario}.json"
+    elif scenario == "magnus_cross":
+        path = write_scenario(tmp_path, magnus_cross_doc())
     else:
         path = write_scenario(tmp_path, clip_doc() if scenario == "clip"
                               else network_doc())
     seen = []
     write = cli._write_trajectory
 
-    def recording_write(path, node_steps):
-        seen.append(node_steps)
-        write(path, node_steps)
+    def recording_write(path, node_steps, external_force):
+        seen.append((node_steps, external_force))
+        write(path, node_steps, external_force)
 
     monkeypatch.setattr(cli, "_write_trajectory", recording_write)
     code, out = run_cli(tmp_path, "simulate", path)
     assert code == 0 and len(seen) == 1
+    if scenario == "magnus_cross":
+        assert max(np.abs(s.f_magnus).max() for s in seen[0][0]) > 0.0
     if scenario == "network":
-        assert len(seen[0][0]) > cli.TRAJECTORY_BLOCK_ROWS
+        assert len(seen[0][0][0]) > cli.TRAJECTORY_BLOCK_ROWS
         assert json.loads((out / "network_final.json").read_text()
                           )["eventCount"] >= 1
     assert_same_lines((out / "trajectory.csv").read_text(),
-                      per_row_trajectory(seen[0]))
+                      per_row_trajectory(*seen[0]))
 
 
 @pytest.mark.parametrize("line_id", ["a,b", 'say "a"', "a\nb", "a\rb",
@@ -784,6 +799,22 @@ def test_cli_line_id_that_would_split_a_csv_field_exit_1(tmp_path, capsys,
     code, out = run_cli(tmp_path, "simulate", write_scenario(tmp_path, doc))
     assert code == 1
     assert f"$.dynamics.lines[0].id: {line_id!r} holds a comma" \
+        in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_closed_line_repeating_its_first_node_exit_1(tmp_path, capsys):
+    """On a closed line the last node and the first are consecutive, so a
+    last node equal to the first is a config error, not two nodes that move
+    apart."""
+    doc = json.loads((SCENARIOS / "magnus.json").read_text())
+    doc["dynamics"]["steps"] = 3
+    doc["dynamics"]["lines"] = [{
+        "nodes": [[-0.3, 0, 0], [-0.1, 0, 0], [-0.1, 0.2, 0], [-0.3, 0, 0]],
+        "burgers": [1, 0, 0], "closed": True}]
+    code, out = run_cli(tmp_path, "simulate", write_scenario(tmp_path, doc))
+    assert code == 1
+    assert "$.dynamics.lines[0]: consecutive nodes must be distinct" \
         in capsys.readouterr().err
     assert not out.exists()
 
@@ -812,7 +843,7 @@ TRAJECTORY_IDS = ["a", "bb", "ccc", "dddd", "eeeee", "ffffff", "ggggggg",
                   "hhhhhhhh", "iiiiiiiii"]
 
 
-def hand_built_steps(rng, sizes, ext):
+def hand_built_steps(rng, sizes):
     """NodeSteps of the given row counts with ids of 1 to 9 characters, node
     indices up to 149 and values that take the kernel's slow path in the
     position and velocity columns and in the force and defect columns."""
@@ -827,8 +858,8 @@ def hand_built_steps(rng, sizes, ext):
         steps.append(NodeStep(
             line_ids=[TRAJECTORY_IDS[k] for k in rng.integers(0, 9, n)],
             node=rng.integers(0, 150, n), position=values[:, 0:3],
-            velocity=values[:, 3:6], f_ext=np.broadcast_to(ext, (n, 3)),
-            f_magnus=values[:, 6:9], transversality=values[:, 9]))
+            velocity=values[:, 3:6], f_magnus=values[:, 6:9],
+            transversality=values[:, 9]))
     return steps
 
 
@@ -841,23 +872,11 @@ def test_write_trajectory_matches_per_row_template_at_the_edges(tmp_path,
     blocks shared by several steps."""
     assert cli.TRAJECTORY_BLOCK_ROWS == 512
     sizes = [0, 3, 0, 509, 512, 700, 1, 0, 5, 300, 212, 2, 0]
-    steps = hand_built_steps(np.random.default_rng(31), sizes,
-                             np.array(ext))
+    steps = hand_built_steps(np.random.default_rng(31), sizes)
+    ext = np.array(ext)
     path = tmp_path / "trajectory.csv"
-    cli._write_trajectory(path, steps)
-    assert_same_lines(path.read_text(), per_row_trajectory(steps))
+    cli._write_trajectory(path, steps, ext)
+    assert_same_lines(path.read_text(), per_row_trajectory(steps, ext))
     for few in ([], steps[:1], steps[:3]):
-        cli._write_trajectory(path, few)
-        assert path.read_text() == per_row_trajectory(few)
-
-
-def test_write_trajectory_needs_one_external_force(tmp_path):
-    """The external-force cells are formatted once per file, so rows whose
-    f_ext bits differ from the first row's (here only in the sign of a
-    zero) are refused."""
-    rng = np.random.default_rng(32)
-    steps = hand_built_steps(rng, [4, 4], np.array([0.0, 1.0, 2.0]))
-    steps[1].f_ext = np.array(steps[1].f_ext)
-    steps[1].f_ext[2, 0] = -0.0
-    with pytest.raises(ValueError, match="more than one external force"):
-        cli._write_trajectory(tmp_path / "trajectory.csv", steps)
+        cli._write_trajectory(path, few, ext)
+        assert path.read_text() == per_row_trajectory(few, ext)
