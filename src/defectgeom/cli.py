@@ -500,10 +500,15 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 
 
+_parser = None  # built by the first `main` call of a process
+
+
 def main(argv=None) -> int:
+    global _parser
     rss_at_start = _peak_rss_mb()
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     if args.resolution_scale < 1:
         print("error: --resolution-scale must be >= 1", file=sys.stderr)
         return EXIT_CONFIG

@@ -50,8 +50,9 @@ class DislocationLine:
         if self.burgers.shape != (3,) or not np.all(np.isfinite(self.burgers)) \
                 or not np.any(self.burgers):
             raise ValueError("Burgers vector must be finite and nonzero")
-        if not self.mobility > 0:
-            raise ValueError("mobility must be positive")
+        if not 0 < self.mobility < np.inf:
+            raise ValueError(f"mobility must be finite and positive, got "
+                             f"{self.mobility}")
 
     def tangents(self) -> np.ndarray:
         """Unit tangent per node from central differences of neighbors,
@@ -246,7 +247,7 @@ def _stack_lines(lines):
         nodes = np.concatenate([np.empty((0, 3)), *(l.nodes for l in lines)])
         counts = np.array([len(l.nodes) for l in lines], int)
         closed = np.array([bool(l.closed) for l in lines], bool)
-        if not all(np.shape(l.burgers) == (3,) and l.mobility > 0
+        if not all(np.shape(l.burgers) == (3,) and 0 < l.mobility < np.inf
                    for l in lines):
             return None
         burgers = np.array([l.burgers for l in lines], float).reshape(-1, 3)

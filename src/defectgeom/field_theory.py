@@ -88,41 +88,61 @@ def interior_mask(grid: GridSpec, boundary_margin: float = 0.0,
     and need no margin.
     exclude_tubes: iterables of (x, y, radius) in transverse coordinates.
     """
-    mask = np.ones(grid.resolution, bool)
+    return _mask_product(_mask_factors(grid, boundary_margin, exclude_tubes))
+
+
+def _mask_factors(grid: GridSpec, boundary_margin, exclude_tubes) -> list:
+    """`interior_mask` as broadcastable factors whose product is the mask:
+    the (x, y) factor, holding the x and y margins and the tubes, then one
+    factor per further axis. The mask is empty exactly when some factor is.
+    """
     margins = (list(boundary_margin) if np.ndim(boundary_margin) > 0
                else [boundary_margin] * grid.dim)
+    keeps = []
     for i in range(grid.dim):
         c = grid.axis_centers(i)
         lo, hi = grid.extents[i]
-        keep = (c >= lo + margins[i]) & (c <= hi - margins[i])
+        keeps.append((c >= lo + margins[i]) & (c <= hi - margins[i]))
+    transverse = keeps[0][:, None] & keeps[1][None, :]
+    X = grid.axis_centers(0)[:, None]
+    Y = grid.axis_centers(1)[None, :]
+    for (cx, cy, rad) in exclude_tubes:
+        transverse &= (X - cx) ** 2 + (Y - cy) ** 2 > rad * rad
+    factors = [transverse.reshape(transverse.shape + (1,) * (grid.dim - 2))]
+    for i in range(2, grid.dim):
         shape = [1] * grid.dim
         shape[i] = -1
-        mask &= keep.reshape(shape)
-    if exclude_tubes:
-        X = grid.axis_centers(0)[:, None]
-        Y = grid.axis_centers(1)[None, :]
-        keep2d = np.ones((grid.resolution[0], grid.resolution[1]), bool)
-        for (cx, cy, rad) in exclude_tubes:
-            keep2d &= (X - cx) ** 2 + (Y - cy) ** 2 > rad * rad
-        shape = [1] * grid.dim
-        shape[0] = grid.resolution[0]
-        shape[1] = grid.resolution[1]
-        mask &= keep2d.reshape(shape)
+        factors.append(keeps[i].reshape(shape))
+    return factors
+
+
+def _mask_product(factors) -> np.ndarray:
+    """The full-grid mask of `_mask_factors`. The trailing factors go
+    first, so the one full-grid step runs along a long contiguous tail
+    rather than along the thin w axis alone."""
+    mask = factors[-1]
+    for factor in factors[-2::-1]:
+        mask = mask & factor
     return mask
 
 
 def field_norms(f: FormField, boundary_margin: float = 0.0,
                 exclude_tubes=()) -> tuple:
-    """(rms, max) of the pointwise component-Euclidean norm over masked cells."""
-    mask = interior_mask(f.grid, boundary_margin, exclude_tubes)
+    """(rms, max) of the pointwise component-Euclidean norm over masked cells.
+
+    A field whose rows are all exact zeros (`FormField._zero`) has norms
+    (0.0, 0.0), and no full-grid array is built for it.
+    """
+    factors = _mask_factors(f.grid, boundary_margin, exclude_tubes)
+    if not all(factor.any() for factor in factors):
+        raise ValueError("norm mask excludes every cell")
+    if all(f._zero):
+        return 0.0, 0.0
     sq = np.zeros((1,) * f.grid.dim)
     for row in f._rows:
         sq = sq + row * row
     # masked on the full grid, so np.mean adds the values in grid order
-    sq = np.broadcast_to(sq, f.grid.resolution)
-    sel = sq[mask]
-    if sel.size == 0:
-        raise ValueError("norm mask excludes every cell")
+    sel = np.broadcast_to(sq, f.grid.resolution)[_mask_product(factors)]
     return float(np.sqrt(np.mean(sel))), float(np.sqrt(np.max(sel)))
 
 

@@ -193,9 +193,19 @@ class FormField:
     bits never change. Every operation works on these rows with numpy
     broadcasting, which gives each grid cell the value the full arrays would
     give. `coeffs` builds the full array.
+
+    `_zero` flags each stored row that is an exact zero: length 1 on every
+    axis, with the bits of +0.0 or -0.0. The wedge sums (`_scalar_wedge`,
+    `_frame_sum`) compute no product with such a row, as
+    `exterior_derivative` differentiates no constant row, and
+    `field_theory.field_norms` of a field of only such rows reads no grid.
+    That is exact: those accumulators start at +0.0, so in round-to-nearest
+    they never hold -0.0, x + (+-0) is x for every x other than -0.0, and a
+    stored row is finite, so a product with a zero factor is +-0.
     """
 
-    __slots__ = ("grid", "degree", "value_type", "_rows", "_spline_cache")
+    __slots__ = ("grid", "degree", "value_type", "_rows", "_zero",
+                 "_spline_cache")
 
     def __init__(self, grid: GridSpec, degree: int, value_type: str, coeffs: np.ndarray):
         _check_kind(grid, degree, value_type)
@@ -221,14 +231,22 @@ class FormField:
 
     def _set(self, grid, degree, value_type, rows, copy):
         lead = _coeff_shape(grid, degree, value_type)[:-grid.dim]
-        if len(rows) != int(np.prod(lead)):
+        if len(rows) != math.prod(lead):
             raise ValueError(f"{len(rows)} rows != expected {lead}")
         stored = []
+        zero = []
         for row in rows:
             part = _invariant_slice(row)
             if copy or part.size < row.size:
                 part = part.copy()
-            if not np.isfinite(part).all():
+            if part.size == 1:
+                value = part.item()
+                finite = math.isfinite(value)
+                zero.append(value == 0.0)
+            else:
+                finite = np.isfinite(part).all()
+                zero.append(False)
+            if not finite:
                 raise ValueError("non-finite coefficients")
             part.setflags(write=False)
             stored.append(part)
@@ -236,6 +254,7 @@ class FormField:
         self.degree = degree
         self.value_type = value_type
         self._rows = tuple(stored)
+        self._zero = tuple(zero)
         self._spline_cache = {}
 
     # -- constructors -------------------------------------------------------
@@ -244,7 +263,7 @@ class FormField:
     def zeros(cls, grid: GridSpec, degree: int, value_type: str = SCALAR) -> "FormField":
         lead = _coeff_shape(grid, degree, value_type)[:-grid.dim]
         return cls._from_rows(grid, degree, value_type,
-                              [_zero_row(grid)] * int(np.prod(lead)))
+                              [_zero_row(grid)] * math.prod(lead))
 
     # -- component access ---------------------------------------------------
 
@@ -271,6 +290,11 @@ class FormField:
         """The rows of stored frame slot `index` (0 for a scalar field)."""
         ncomp = len(self.components)
         return self._rows[index * ncomp:(index + 1) * ncomp]
+
+    def _block_zero(self, index: int) -> tuple:
+        """The `_zero` flags of the rows of stored frame slot `index`."""
+        ncomp = len(self.components)
+        return self._zero[index * ncomp:(index + 1) * ncomp]
 
     def _frame_slot(self, frame):
         """(stored block index, sign) of frame slot a (vector) or (a, b)
@@ -403,8 +427,11 @@ def _invariant_slice(row: np.ndarray) -> np.ndarray:
     An axis is sliced only if the float64 bits along it all equal those of
     its first slice, so the array is the slice broadcast back bit for bit;
     +0.0 and -0.0 differ. Most varying axes already differ in their first
-    two entries, which are compared before the slices.
+    two entries, which are compared before the slices. A row of one value
+    is its own slice.
     """
+    if row.size == 1:
+        return row[...]
     part = row.view(np.uint64)
     for ax in range(row.ndim):
         if part.shape[ax] > 1 and \
@@ -450,20 +477,32 @@ def require_coframe(e: FormField) -> FormField:
 # algebraic operations
 # ---------------------------------------------------------------------------
 
-def _scalar_wedge(grid, ka, kb, A, B) -> list:
+def _scalar_wedge(grid, ka, kb, A, B, za, zb) -> list:
     """Wedge of plain component rows A (C(dim, ka) of them) and B; one row
-    per output component, each accumulated from +0.0."""
+    per output component, each accumulated from +0.0.
+
+    za and zb flag the exact-zero rows of A and B (`FormField._zero`). A
+    product with a flagged factor is not computed: it is +-0 and adds
+    nothing to an accumulator, and a fused pair with one such product is
+    the other product, by the same argument.
+    """
     out = [_zero_row(grid)] * len(basis_indices(grid.dim, ka + kb))
     kind, rows = _wedge_plan(grid.dim, ka, kb)
     if kind == "sym":
         for ia, ib, io, s1, s2 in rows:
-            if ia == ib:
-                out[io] = out[io] + s1 * (A[ia] * B[ib])
-            else:
+            first = not (za[ia] or zb[ib])
+            second = ia != ib and not (za[ib] or zb[ia])
+            if first and second:
                 out[io] = out[io] + (s1 * (A[ia] * B[ib])
                                      + s2 * (A[ib] * B[ia]))
+            elif first:
+                out[io] = out[io] + s1 * (A[ia] * B[ib])
+            elif second:
+                out[io] = out[io] + s2 * (A[ib] * B[ia])
     else:
         for ia, ib, io, sign in rows:
+            if za[ia] or zb[ib]:
+                continue
             if sign == 1:
                 out[io] = out[io] + A[ia] * B[ib]
             else:
@@ -479,19 +518,23 @@ def _frame_sum(grid, degree: int, value_type: str, terms) -> FormField:
     scalar result), in term order. Slot reflection signs fold into the term
     sign instead of negating a copy; negation is exact, so the bits equal
     those of wedging the reflected blocks. A term whose slot is an antisym
-    diagonal is skipped: its block is zero.
+    diagonal, or one of whose blocks has only exact-zero rows, is skipped:
+    its wedge is +0.0 (see `_scalar_wedge`).
     """
     lead = _coeff_shape(grid, degree, value_type)[:-grid.dim]
     ncomp = lead[-1]
-    out = [[_zero_row(grid)] * ncomp for _ in range(int(np.prod(lead[:-1])))]
+    out = [[_zero_row(grid)] * ncomp for _ in range(math.prod(lead[:-1]))]
     for row, sign, x, x_slot, y, y_slot in terms:
         xi, xs = x._frame_slot(x_slot)
         yi, ys = y._frame_slot(y_slot)
         sign *= xs * ys
         if sign == 0:
             continue
+        zx, zy = x._block_zero(xi), y._block_zero(yi)
+        if all(zx) or all(zy):
+            continue
         prod = _scalar_wedge(grid, x.degree, y.degree, x._block(xi),
-                             y._block(yi))
+                             y._block(yi), zx, zy)
         out[row] = [acc + p if sign > 0 else acc - p
                     for acc, p in zip(out[row], prod)]
     return FormField._from_rows(grid, degree, value_type,
@@ -518,12 +561,13 @@ def wedge(a: FormField, b: FormField) -> FormField:
     if a.value_type == SCALAR or b.value_type == SCALAR:
         framed = b if a.value_type == SCALAR else a
         nslots = len(framed._rows) // len(framed.components)
-        blocks = [(a._block(0 if a is not framed else m),
-                   b._block(0 if b is not framed else m))
-                  for m in range(nslots)]
+        slots = [(0 if a is not framed else m, 0 if b is not framed else m)
+                 for m in range(nslots)]
         return FormField._from_rows(grid, k, framed.value_type, [
-            r for A, B in blocks
-            for r in _scalar_wedge(grid, a.degree, b.degree, A, B)])
+            r for ma, mb in slots
+            for r in _scalar_wedge(grid, a.degree, b.degree, a._block(ma),
+                                   b._block(mb), a._block_zero(ma),
+                                   b._block_zero(mb))])
 
     frames = range(grid.dim)
     if a.value_type == ANTISYM and b.value_type == VECTOR:

@@ -234,6 +234,15 @@ def test_dynamics_inputs_reject_non_finite_values():
         DynamicsParams(Gamma=1.0, time_step=np.inf, steps=1)
 
 
+@pytest.mark.parametrize("mobility", [np.inf, np.nan, -np.inf, 0.0, -1.0])
+def test_line_mobility_must_be_finite_and_positive(mobility):
+    """An infinite mobility used to pass and make every velocity NaN."""
+    with pytest.raises(ValueError, match=r"^mobility must be finite and "
+                                         r"positive, got "):
+        DislocationLine(np.array([[0, 0, 0], [0, 0, 1.0]]),
+                        np.array([1.0, 0, 0]), mobility=mobility)
+
+
 def test_line_accepts_subnormal_burgers():
     """A subnormal Burgers vector is nonzero although its norm underflows."""
     for b in ([0.0, 0.0, 1.1e-308], [5e-324, 0.0, -0.0]):
@@ -440,9 +449,11 @@ def test_external_force_must_be_a_3_vector():
     lambda l: {"burgers": np.array([1.0, np.nan, 0.0])},
     lambda l: {"mobility": 0.0},
     lambda l: {"nodes": np.vstack([l.nodes, l.nodes[:1]]), "closed": True},
+    lambda l: {"mobility": np.inf},
+    lambda l: {"mobility": np.nan},
 ], ids=["repeated_node", "nan_node", "two_columns", "open_one_node",
         "closed_two_nodes", "zero_burgers", "nan_burgers", "zero_mobility",
-        "closed_repeated_endpoint"])
+        "closed_repeated_endpoint", "inf_mobility", "nan_mobility"])
 def test_stacked_checks_raise_the_constructor_message(change):
     """A line changed after construction so that DislocationLine rejects it
     makes step_lines raise the constructor's text, for the first such line

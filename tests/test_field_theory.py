@@ -8,7 +8,10 @@ from defectgeom.forms import ANTISYM, VECTOR, FormField, GridSpec, _coeff_shape
 from defectgeom.geometry import Box
 
 from conftest import EPS, EXTENTS
-from test_framed_contractions import assert_rows_are_invariant_slices
+from test_framed_contractions import (
+    assert_rows_are_invariant_slices,
+    zero_products_counted,
+)
 
 
 def test_couplings_validation():
@@ -112,6 +115,29 @@ def test_el_defect_free_exactly_zero(grid64):
     r2 = dg.el_connection_residual(f4, c)
     assert r1.l2 == 0.0 and r1.linf == 0.0
     assert r2.l2 == 0.0 and r2.linf == 0.0
+
+
+@pytest.mark.parametrize("defects", [
+    (),
+    (dg.DefectSpec("screw", (-0.5, 0), 1.0, EPS),
+     dg.DefectSpec("wedge", (0.5, 0), 0.1, EPS)),
+], ids=["defect_free", "screw_wedge"])
+def test_residuals_compute_no_product_with_a_zero_row(grid64, defects):
+    """The force and spin balances and both Bianchi residuals of an
+    embedded bundle multiply no exact-zero row. Without defects T, R and
+    omega have only such rows, so every framed term is dropped whole and
+    the scalar wedge is never called."""
+    f4 = dg.embed_static_4d(make_config(grid64, *defects))
+    c = dg.Couplings(1, 2, 0.7)
+    with zero_products_counted() as counts:
+        dg.el_coframe_residual(f4, c)
+        dg.el_connection_residual(f4, c)
+        dg.bianchi_residuals(f4)
+    assert counts["zero_reads"] == 0
+    if defects:
+        assert 0 < counts["skipped"] < counts["products"]
+    else:
+        assert counts["calls"] == 0
 
 
 def elres_pair(factor, kind, charge=1.0):

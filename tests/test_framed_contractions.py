@@ -9,10 +9,11 @@ with `tobytes()`, so even the sign of a zero must agree.
 
 A field stores each (frame slot, component) row as its invariant slice,
 at length 1 along the axes its bits do not vary along. The kernels do not
-differentiate a row along an axis it is constant along, and read +0.0 for
-+-0 sample rows. The references never skip: they wedge every full block,
-differentiate every full row in one stacked gradient and spline every
-row.
+differentiate a row along an axis it is constant along, compute no wedge
+product with an exact-zero row (`zero_products_counted` checks that) and
+read +0.0 for +-0 sample rows. The references never skip: they wedge every
+full block, differentiate every full row in one stacked gradient and spline
+every row.
 
 Whole-field `+`, `-`, scalar `*` and `hodge_star` are compared with the
 plain numpy expressions on rows that are all +0.0, all -0.0, mixed +-0 or
@@ -25,11 +26,14 @@ invariance takes the full spline and is compared byte for byte.
 """
 
 import itertools
+from contextlib import contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
+from defectgeom import forms
 from defectgeom.defects import CartanFields
 from defectgeom.field_theory import Couplings, el_connection_residual
 from defectgeom.forms import (
@@ -43,6 +47,7 @@ from defectgeom.forms import (
     _invariant_slice,
     _merge_sign,
     _scalar_wedge,
+    _wedge_plan,
     antisym_matmul,
     antisym_pairs,
     basis_indices,
@@ -78,9 +83,12 @@ def ref_exterior_derivative(a):
 
 
 def ref_scalar_wedge(grid, ka, kb, A, B):
-    """The scalar wedge of full component stacks, as one full array."""
+    """The scalar wedge of full component stacks, as one full array; no row
+    is flagged as an exact zero, so every product is computed."""
+    unflagged = (False,) * len(A), (False,) * len(B)
     return np.stack([np.broadcast_to(row, grid.resolution)
-                     for row in _scalar_wedge(grid, ka, kb, A, B)])
+                     for row in _scalar_wedge(grid, ka, kb, A, B,
+                                              *unflagged)])
 
 
 def _ref_block(f, a, b=None):
@@ -250,6 +258,69 @@ def assert_rows_are_invariant_slices(f):
     for row, values in zip(f._rows, full):
         want = _invariant_slice(values)
         assert row.shape == want.shape and row.tobytes() == want.tobytes()
+
+
+class _ReadLog:
+    """A block of rows that counts reads of its flagged exact-zero rows."""
+
+    def __init__(self, rows, zero, counts):
+        self.rows, self.zero, self.counts = rows, zero, counts
+
+    def __len__(self):
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        self.counts["zero_reads"] += self.zero[i]
+        return self.rows[i]
+
+
+@contextmanager
+def zero_products_counted():
+    """Count, while active, the wedge products with an exact-zero factor
+    and check that none of them is computed.
+
+    "calls" counts the `_scalar_wedge` calls and "products" the products of
+    their wedge plans; "skipped" those with a factor flagged in `_zero`,
+    which the kernel must not compute, and "zero_reads" the flagged rows it
+    indexed, which must stay 0. "dropped" counts the framed terms that
+    `forms._frame_sum`, called through its name in `forms`, drops whole
+    because a block has only flagged rows; each such frame sum must call
+    the kernel once per term it keeps.
+    """
+    counts = dict.fromkeys(
+        ("calls", "products", "skipped", "zero_reads", "dropped"), 0)
+
+    def counting_wedge(grid, ka, kb, A, B, za, zb):
+        kind, plan = _wedge_plan(grid.dim, ka, kb)
+        for ia, ib, *_ in plan:
+            pairs = {(ia, ib), (ib, ia)} if kind == "sym" else {(ia, ib)}
+            counts["products"] += len(pairs)
+            counts["skipped"] += sum(za[i] or zb[j] for i, j in pairs)
+        counts["calls"] += 1
+        return scalar_wedge(grid, ka, kb, _ReadLog(A, za, counts),
+                            _ReadLog(B, zb, counts), za, zb)
+
+    def counting_frame_sum(grid, degree, value_type, terms):
+        terms = list(terms)
+        live = dropped = 0
+        for _, sign, x, x_slot, y, y_slot in terms:
+            (xi, xs), (yi, ys) = x._frame_slot(x_slot), y._frame_slot(y_slot)
+            if sign * xs * ys == 0:
+                continue
+            if all(x._block_zero(xi)) or all(y._block_zero(yi)):
+                dropped += 1
+            else:
+                live += 1
+        calls = counts["calls"]
+        out = frame_sum(grid, degree, value_type, terms)
+        assert counts["calls"] - calls == live
+        counts["dropped"] += dropped
+        return out
+
+    scalar_wedge, frame_sum = forms._scalar_wedge, forms._frame_sum
+    with mock.patch.object(forms, "_scalar_wedge", counting_wedge), \
+            mock.patch.object(forms, "_frame_sum", counting_frame_sum):
+        yield counts
 
 
 def _degree_pairs(dim):

@@ -46,6 +46,7 @@ from test_framed_contractions import (
     ref_hodge_star,
     ref_interior_product,
     ref_wedge,
+    zero_products_counted,
 )
 
 PROPERTY_SETTINGS = settings(max_examples=100, deadline=None,
@@ -202,7 +203,8 @@ def _planted_rows(grid, degree, value_type, rng):
     """Field whose (frame slot, component) rows are in turn all +0.0, all
     -0.0, mixed +-0, one constant, invariant along a random set of axes, or
     varying along every axis; values are small integers (which cancel
-    exactly) or normals, with planted +-0 entries."""
+    exactly) or normals, with planted +-0 entries. At least one row is all
+    +0.0 or all -0.0, so the field holds a row flagged as an exact zero."""
     coeffs = np.empty(_coeff_shape(grid, degree, value_type))
     rows = coeffs.reshape((-1,) + grid.resolution)
     for row in rows:
@@ -219,7 +221,10 @@ def _planted_rows(grid, degree, value_type, rng):
                 if rng.random() < 0.5 else rng.normal(size=shape)
             part[rng.random(shape) < 0.2] = -0.0
             row[...] = part
-    return FormField(grid, degree, value_type, coeffs)
+    rows[rng.integers(len(rows))] = (0.0, -0.0)[rng.integers(2)]
+    field = FormField(grid, degree, value_type, coeffs)
+    assert any(field._zero)
+    return field
 
 
 def _same_as_reference(got, want):
@@ -249,7 +254,16 @@ def test_stored_rows_are_invariant_slices_after_every_operation(dim, data):
     +-0 rows gives the bytes of the full-array reference, and stores each
     result row as the invariant slice of its full row. Every example draws
     one scalar and one wedge pairing, and contracts a field of positive
-    degree with a constant and a grid vector field."""
+    degree with a constant and a grid vector field. Each field holds an
+    exact-zero row, so the wedge kernels skip a product or drop a framed
+    term that the full-array references compute, and read no such row."""
+    with zero_products_counted() as counts:
+        _every_operation_against_reference(dim, data)
+    assert counts["zero_reads"] == 0
+    assert counts["skipped"] + counts["dropped"] > 0
+
+
+def _every_operation_against_reference(dim, data):
     grid = GridSpec([(0.0, 1.0)] * dim, [4] * dim)
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     types = (SCALAR, VECTOR, ANTISYM)
