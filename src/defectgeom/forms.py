@@ -23,6 +23,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -33,21 +34,144 @@ ANTISYM = "antisym"
 AXIS_NAMES = ("x", "y", "z", "w")
 
 
-class _DeferredNdimage:
-    """`scipy.ndimage`, imported on first attribute access.
+# ---------------------------------------------------------------------------
+# B-splines
+# ---------------------------------------------------------------------------
 
-    The import is most of `import defectgeom`'s cost, and only spline
-    sampling uses it, so a run that samples no field never pays for it.
-    Every spline call looks up `ndimage` in this module when it runs, so a
-    stand-in bound to that name sees every call.
+# OpenBLAS runs a dgemm of m n k <= 2^18 on one thread. On a 2-core machine
+# whose other core was busy, a threaded 128 x 128 product took 12-16 ms,
+# against 0.07 ms on one thread.
+_ONE_THREAD_GEMM = 1 << 18
+# (tap, point) pairs per block of points in _map_coordinates
+_SPLINE_BLOCK = 1 << 15
+
+
+def _mirror(x, n: int):
+    """x reflected into [0, n - 1] about the first and last sample, which
+    are not repeated: the extension has period 2n - 2."""
+    period = 2 * n - 2
+    x = np.abs(x) % period
+    return np.where(x > n - 1, period - x, x)
+
+
+def _bspline_weights(x: np.ndarray, order: int):
+    """(floor(x), weights): the B-spline weights, shape (order + 1, len(x)),
+    of the taps floor(x) - order // 2 + k, k = 0..order.
+
+    Each weight is a polynomial in t = x - floor(x), evaluated by Horner's
+    rule from its highest power.
     """
+    if order == 3:
+        powers = ((-1, 3, -3, 1), (3, -6, 3, 0), (-3, 0, 3, 0),
+                  (1, 4, 1, 0))
+        scale = 6.0
+    else:
+        powers = ((-1, 5, -10, 10, -5, 1), (5, -20, 30, -20, 5, 0),
+                  (-10, 20, 0, -20, 10, 0), (10, 20, -60, 20, 10, 0),
+                  (-5, -50, 0, 50, 5, 0), (1, 26, 66, 26, 1, 0))
+        scale = 120.0
+    base = np.floor(x)
+    t = x - base
+    coeffs = np.array(powers)[:, :, None] / scale
+    w = t * coeffs[0]
+    for c in coeffs[1:-1]:
+        w += c
+        w *= t
+    w += coeffs[-1]
+    return base.astype(np.intp), w
 
-    def __getattr__(self, name):
-        from scipy import ndimage as module
-        return getattr(module, name)
+
+@lru_cache(maxsize=None)
+def _prefilter_matrix(n: int, order: int) -> np.ndarray:
+    """The inverse of the n x n mirror-boundary collocation matrix of the
+    B-spline of `order`, read-only: it maps n samples to the spline's
+    coefficients.
+
+    Row i of the collocation matrix holds the spline's values at sample i
+    of the coefficients j, folded onto [0, n) by `_mirror` (Unser, Aldroubi
+    and Eden, IEEE Trans. Signal Process. 41 (1993) 821; boundary as in
+    Thevenaz, Blu and Unser, IEEE Trans. Med. Imaging 19 (2000) 739).
+    """
+    r = order // 2
+    _, knots = _bspline_weights(np.zeros(1), order)  # the values at -r..r
+    i = np.arange(n)
+    colloc = np.zeros((n, n))
+    for d, b in enumerate(knots[:-1, 0], -r):
+        np.add.at(colloc, (i, _mirror(i + d, n)), b)
+    inv = np.linalg.inv(colloc)
+    inv.setflags(write=False)
+    return inv
 
 
-ndimage = _DeferredNdimage()
+def _spline_filter(row: np.ndarray, order: int) -> np.ndarray:
+    """Mirror-boundary B-spline coefficients of `order` (3 or 5) of an array
+    of 1 to 4 axes of at least 2 samples, with the margins of mirrored
+    coefficients that `_map_coordinates` reads: order // 2 before the
+    samples and order // 2 + 1 after them on each axis.
+
+    Each axis is multiplied by its cached inverse collocation matrix, in
+    column blocks small enough for OpenBLAS to run on one thread.
+    """
+    r = order // 2
+    coeffs = np.asarray(row, float)
+    for ax, n in enumerate(coeffs.shape):
+        inv = _prefilter_matrix(n, order)
+        data = np.moveaxis(coeffs, ax, 0)
+        flat = data.reshape(n, -1)
+        out = np.empty((n + order,) + data.shape[1:])
+        cols = out.reshape(n + order, -1)
+        step = max(1, _ONE_THREAD_GEMM // inv.size)
+        for s in range(0, cols.shape[1], step):
+            np.matmul(inv, flat[:, s:s + step], out=cols[r:r + n, s:s + step])
+        margins = np.r_[:r, r + n:n + order]
+        cols[margins] = cols[_mirror(margins - r, n) + r]
+        coeffs = np.moveaxis(out, 0, ax)
+    return np.ascontiguousarray(coeffs)
+
+
+def _map_coordinates(splines, coords: np.ndarray, order: int) -> np.ndarray:
+    """Values (len(splines), points) at finite index coordinates
+    coords (D, points) of splines of one shape from `_spline_filter`.
+
+    A coordinate off its axis is reflected onto it, as the samples are.
+    The tap indices and weights are computed once for all the splines, and
+    their tensor products a block of points at a time, tap-major so that
+    numpy's inner loops run over points; each spline then takes one gather
+    and one dot product per point.
+    """
+    shape = np.shape(splines[0])
+    npts = coords.shape[1]
+    start = np.zeros(npts, np.intp)
+    offsets = np.zeros(1, np.intp)
+    weights = []
+    for x, n, stride in zip(coords, shape,
+                            np.cumprod((1,) + shape[:0:-1])[::-1]):
+        n -= order
+        if npts and not (x.min() >= 0 and x.max() <= n - 1):
+            x = _mirror(x, n)
+        base, w = _bspline_weights(x, order)
+        start += stride * base
+        offsets = (offsets[:, None] + stride * np.arange(order + 1)).ravel()
+        weights.append(w)
+    flats = [np.ravel(s) for s in splines]
+    out = np.empty((len(splines), npts))
+    step = max(1, _SPLINE_BLOCK // len(offsets))
+    for s in range(0, npts, step):
+        weight = weights[0][:, s:s + step]
+        for w in weights[1:]:
+            w = w[:, s:s + step]
+            weight = (weight[:, None] * w).reshape(-1, w.shape[1])
+        taps = offsets[:, None] + start[s:s + step]
+        for row, coeffs in zip(out, flats):
+            np.einsum("kp,kp->p", coeffs.take(taps), weight,
+                      out=row[s:s + step])
+    return out
+
+
+# The spline kernel, looked up by name when it runs, so that a stand-in
+# bound to `ndimage` in this module sees every prefilter and evaluation.
+ndimage = SimpleNamespace(spline_filter=_spline_filter,
+                          map_coordinates=_map_coordinates)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +357,14 @@ class FormField:
         lead = _coeff_shape(grid, degree, value_type)[:-grid.dim]
         if len(rows) != math.prod(lead):
             raise ValueError(f"{len(rows)} rows != expected {lead}")
+        shared = _zero_row(grid.dim)
         stored = []
         zero = []
         for row in rows:
+            if row is shared:
+                stored.append(row)
+                zero.append(True)
+                continue
             part = _invariant_slice(row)
             if copy or part.size < row.size:
                 part = part.copy()
@@ -263,7 +392,7 @@ class FormField:
     def zeros(cls, grid: GridSpec, degree: int, value_type: str = SCALAR) -> "FormField":
         lead = _coeff_shape(grid, degree, value_type)[:-grid.dim]
         return cls._from_rows(grid, degree, value_type,
-                              [_zero_row(grid)] * math.prod(lead))
+                              [_zero_row(grid.dim)] * math.prod(lead))
 
     # -- component access ---------------------------------------------------
 
@@ -348,7 +477,9 @@ class FormField:
         """Spline-interpolated coefficients at physical points.
 
         Returns an array of shape coeffs.shape[:-dim] + points.shape[:-1].
-        Order 5 needs at least 6 cells per axis; it falls back to 3 below that.
+        The B-spline order is 3 or 5, with mirror boundary, and the points
+        must be finite. Order 5 needs at least 6 cells per axis; it falls
+        back to 3 below that.
         A coefficient row that is exactly invariant along some axes, such as
         every row of a straight line defect along z, is splined in the lower
         dimension of the other axes: the same values up to rounding, from
@@ -364,20 +495,27 @@ class FormField:
 
         Each row is prefiltered on first use and cached per (order, row), so
         rows that are never sampled are never filtered. A row of only +-0
-        reads +0.0 without a spline, as map_coordinates gives for +-0 data.
-        A row is splined over the axes along which it is stored at full
-        length, which is the full spline up to rounding; a constant row
-        reads its value.
+        reads +0.0 without a spline, as the spline of +-0 data gives. A row
+        is splined over the axes along which it is stored at full length,
+        which is the full spline up to rounding; a constant row reads its
+        value. The rows splined over the same axes are evaluated in one
+        call, which gives each row the bits of a call of its own.
         """
+        if order not in (3, 5):
+            raise ValueError(f"spline order must be 3 or 5, got {order!r}")
         points = np.asarray(points, float)
         if points.shape[-1] != self.grid.dim:
             raise ValueError("point dimension mismatch")
         if order > 3 and min(self.grid.resolution) < order + 1:
             order = 3
-        idx = np.empty((self.grid.dim,) + points.shape[:-1])
+        idx = np.empty((self.grid.dim, math.prod(points.shape[:-1])))
         for i, h in enumerate(self.grid.spacing):
-            idx[i] = (points[..., i] - self.grid.extents[i][0]) / h - 0.5
-        out = np.zeros((len(rows),) + points.shape[:-1])
+            idx[i] = ((points[..., i] - self.grid.extents[i][0]) / h
+                      - 0.5).ravel()
+        if not np.isfinite(idx).all():
+            raise ValueError("sample points must be finite")
+        out = np.zeros((len(rows), idx.shape[1]))
+        groups = {}
         for i, m in enumerate(rows):
             key = (order, m)
             if key not in self._spline_cache:
@@ -385,14 +523,20 @@ class FormField:
                 if not row.any():
                     continue
                 axes, row = _varying_axes(row)
-                if axes and order > 1:
-                    row = ndimage.spline_filter(row, order=order, mode="mirror")
+                if axes:
+                    row = ndimage.spline_filter(row, order)
                 self._spline_cache[key] = (axes, row)
             axes, spline = self._spline_cache[key]
-            out[i] = ndimage.map_coordinates(spline, idx[axes], order=order,
-                                             mode="mirror", prefilter=False) \
-                if axes else spline
-        return out
+            if axes:
+                group = groups.setdefault(tuple(axes), ([], []))
+                group[0].append(i)
+                group[1].append(spline)
+            else:
+                out[i] = spline
+        for axes, (where, splines) in groups.items():
+            out[where] = ndimage.map_coordinates(splines, idx[list(axes)],
+                                                 order)
+        return out.reshape((len(rows),) + points.shape[:-1])
 
     def max_abs(self) -> float:
         return max((float(np.max(np.abs(x))) for x in self._rows), default=0.0)
@@ -416,9 +560,16 @@ def _coeff_shape(grid: GridSpec, degree: int, value_type: str) -> tuple:
     return lead + grid.resolution
 
 
-def _zero_row(grid: GridSpec) -> np.ndarray:
-    """A +0.0 row of length 1 on every axis."""
-    return np.zeros((1,) * grid.dim)
+@lru_cache(maxsize=None)
+def _zero_row(dim: int) -> np.ndarray:
+    """The read-only +0.0 row of length 1 on every axis, one per dimension.
+
+    `FormField._set` stores this object as a flagged zero by identity, so
+    the untouched rows of the accumulators cost no per-row check.
+    """
+    row = np.zeros((1,) * dim)
+    row.setflags(write=False)
+    return row
 
 
 def _invariant_slice(row: np.ndarray) -> np.ndarray:
@@ -486,7 +637,7 @@ def _scalar_wedge(grid, ka, kb, A, B, za, zb) -> list:
     nothing to an accumulator, and a fused pair with one such product is
     the other product, by the same argument.
     """
-    out = [_zero_row(grid)] * len(basis_indices(grid.dim, ka + kb))
+    out = [_zero_row(grid.dim)] * len(basis_indices(grid.dim, ka + kb))
     kind, rows = _wedge_plan(grid.dim, ka, kb)
     if kind == "sym":
         for ia, ib, io, s1, s2 in rows:
@@ -523,7 +674,7 @@ def _frame_sum(grid, degree: int, value_type: str, terms) -> FormField:
     """
     lead = _coeff_shape(grid, degree, value_type)[:-grid.dim]
     ncomp = lead[-1]
-    out = [[_zero_row(grid)] * ncomp for _ in range(math.prod(lead[:-1]))]
+    out = [[_zero_row(grid.dim)] * ncomp for _ in range(math.prod(lead[:-1]))]
     for row, sign, x, x_slot, y, y_slot in terms:
         xi, xs = x._frame_slot(x_slot)
         yi, ys = y._frame_slot(y_slot)
@@ -622,7 +773,7 @@ def exterior_derivative(a: FormField) -> FormField:
     for s in range(len(a._rows) // len(in_idx)):
         src = a._block(s)
         for K in basis_indices(grid.dim, k + 1):
-            acc = _zero_row(grid)
+            acc = _zero_row(grid.dim)
             for pos, j in enumerate(K):
                 row = src[in_idx[K[:pos] + K[pos + 1:]]]
                 if row.shape[j] == 1:
@@ -662,7 +813,7 @@ def interior_product(v: np.ndarray, a: FormField) -> FormField:
     for s in range(len(a._rows) // len(in_idx)):
         src = a._block(s)
         for K in basis_indices(grid.dim, a.degree - 1):
-            acc = _zero_row(grid)
+            acc = _zero_row(grid.dim)
             for j in range(grid.dim):
                 if j in K:
                     continue

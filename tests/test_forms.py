@@ -1,6 +1,11 @@
 """Exterior-calculus kernel: algebra, derivative, Hodge, contraction,
 integration."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -102,6 +107,26 @@ def test_non_finite_coefficients_rejected(g3, bad):
             coeffs.reshape(-1)[-1] = bad
             with pytest.raises(ValueError, match="^non-finite coefficients$"):
                 FormField(g3, 1, value_type, coeffs)
+
+
+def test_untouched_zero_rows_are_one_shared_read_only_row(g3):
+    """The zero fields, the d of constant rows and a wedge whose products
+    all have a zero factor store one shared +0.0 row per dimension, flagged
+    as a zero; writing to it raises."""
+    from defectgeom.forms import _zero_row, zero_connection
+    zero = _zero_row(3)
+    assert zero is not _zero_row(2)
+    assert zero.shape == (1, 1, 1) and zero.tobytes() == bytes(8)
+    omega = zero_connection(g3)
+    fields = [FormField.zeros(g3, 2, VECTOR), omega,
+              exterior_derivative(identity_coframe(g3)),
+              wedge(omega, identity_coframe(g3))]
+    for f in fields:
+        assert all(row is zero for row in f._rows)
+        assert all(f._zero)
+    with pytest.raises(ValueError, match="read-only"):
+        zero[...] = 1.0
+    assert zero.tobytes() == bytes(8)
 
 
 def test_antisym_storage_reflection(g3):
@@ -515,50 +540,90 @@ def test_quadrature_samples_only_weighted_components(g3, monkeypatch):
     """A z-normal disk samples the dx^dy component of each frame slot; a
     tilted disk has weight on every component and samples all of them."""
     from defectgeom import forms
-    calls = []
+    rows = []
     real = forms.ndimage.map_coordinates
     monkeypatch.setattr(forms.ndimage, "map_coordinates",
-                        lambda *a, **k: calls.append(1) or real(*a, **k))
+                        lambda splines, *a: rows.extend(splines)
+                        or real(splines, *a))
     t = _smooth_vector_form(g3, 2, seed=5)
     integrate_surface(t, Disk((0.5, 0.5, 0.5), 0.3), resolution=32)
-    assert len(calls) == 3
+    assert len(rows) == 3
 
-    calls.clear()
+    rows.clear()
     tilt = (np.array([1.0, 0.0, 0.4]), np.array([0.0, 1.0, 0.3]))
     tilt = (tilt[0], tilt[1] - tilt[1] @ tilt[0] / (tilt[0] @ tilt[0]) * tilt[0])
     tilted = Disk((0.5, 0.5, 0.5), 0.3, axes=tilt)
     points, jac = _disk_weights(tilted, t.components, 32)
     assert np.all(np.any(jac != 0, axis=1))
     val = integrate_surface(t, tilted, resolution=32)
-    assert len(calls) == 9
+    assert len(rows) == 9
     np.testing.assert_allclose(val, _full_reference(t, points, jac),
                                rtol=1e-13, atol=1e-15)
 
 
 def test_spline_calls_go_through_forms_ndimage(g3, monkeypatch):
     """Both spline calls look up the `ndimage` name of `forms` when they run,
-    so a stand-in bound to that name sees every prefilter and every sample,
-    and the values are those of scipy's own functions."""
-    from scipy import ndimage as scipy_ndimage
+    so a stand-in bound to that name sees every prefilter and every sample:
+    one prefilter per row, and one evaluation of the rows that share their
+    axes. The values are the kernel's own."""
     from defectgeom import forms
+    kernel = forms.ndimage
     calls = []
 
     class CountingNdimage:
         def spline_filter(self, *args, **kwargs):
             calls.append("spline_filter")
-            return scipy_ndimage.spline_filter(*args, **kwargs)
+            return kernel.spline_filter(*args, **kwargs)
 
         def map_coordinates(self, *args, **kwargs):
-            calls.append("map_coordinates")
-            return scipy_ndimage.map_coordinates(*args, **kwargs)
+            calls.append(("map_coordinates", len(args[0])))
+            return kernel.map_coordinates(*args, **kwargs)
 
     t = _smooth_vector_form(g3, 2, seed=6)
     points = np.array([[0.4, 0.5, 0.6], [0.21, 0.73, 0.35]])
     ref = FormField(g3, 2, VECTOR, t.coeffs).sample(points)
     monkeypatch.setattr(forms, "ndimage", CountingNdimage())
     vals = t.sample(points)
-    assert calls.count("spline_filter") == calls.count("map_coordinates") == 9
+    assert calls == ["spline_filter"] * 9 + [("map_coordinates", 9)]
     assert np.array_equal(vals, ref)
+
+
+def test_sample_needs_order_3_or_5_and_finite_points(g3):
+    f = _smooth_vector_form(g3, 1, seed=7)
+    for order in (1, 4, 6):
+        with pytest.raises(ValueError, match="order must be 3 or 5"):
+            f.sample(np.array([[0.5, 0.5, 0.5]]), order=order)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="points must be finite"):
+            f.sample(np.array([[0.5, 0.5, 0.5], [0.5, bad, 0.5]]))
+    assert f.sample(np.zeros((0, 3))).shape == (3, 3, 0)
+
+
+# The sha256 of prefilters of a 256^2 and a 64^2 x 8 array, printed by a
+# fresh interpreter so that the BLAS thread count is read at numpy's import.
+PREFILTER_DIGEST = """
+import hashlib
+import numpy as np
+from defectgeom import forms
+rng = np.random.default_rng(5)
+h = hashlib.sha256()
+for shape, order in (((256, 256), 5), ((64, 64, 8), 3)):
+    h.update(forms.ndimage.spline_filter(rng.normal(size=shape), order))
+print(h.hexdigest())
+"""
+
+
+def test_prefilter_bits_do_not_depend_on_blas_threads():
+    src = Path(__file__).resolve().parent.parent / "src"
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        done = subprocess.run([sys.executable, "-c", PREFILTER_DIGEST],
+                              env=env, check=True, capture_output=True,
+                              text=True, timeout=120)
+        digests.add(done.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_surface_rules_broadcast_like_flat_rules(g3):
