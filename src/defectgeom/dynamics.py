@@ -156,11 +156,7 @@ def magnus_force(theta, burgers, velocity, Gamma, law=CROSS_PRODUCT,
     have shape (..., 3) and broadcast, so one call evaluates a stack of
     nodes with the bits of one call per node.
     """
-    return _magnus(*_law(theta, burgers, Gamma, law, tangent), velocity)
-
-
-def _magnus(c, a, velocity):
-    """F_curv(v) = c (a x v) of a `_law` pair."""
+    c, a = _law(theta, burgers, Gamma, law, tangent)
     return c * np.cross(a, np.asarray(velocity, float))
 
 
@@ -174,12 +170,7 @@ def solve_velocity(f_ext, theta, burgers, Gamma, mobility,
     shape (...), and they broadcast; a stack is solved as one batch of 3x3
     systems, each with the bits of its own call.
     """
-    return _solve(*_law(theta, burgers, Gamma, law, tangent), f_ext,
-                  mobility)
-
-
-def _solve(c, a, f_ext, mobility):
-    """solve_velocity for the `_law` pair (c, a)."""
+    c, a = _law(theta, burgers, Gamma, law, tangent)
     m = np.asarray(mobility, float)[..., None]
     w, rhs = np.broadcast_arrays(c * a, m * np.asarray(f_ext, float))
     A = np.zeros(w.shape + (3,))
@@ -204,14 +195,11 @@ class ClipEvent:
 def transversality_defect(f_magnus, velocity):
     """|F . v| / (|F| |v|): a float for one pair of 3-vectors, an array over
     the leading axes of (..., 3) operands."""
+    fm = np.asarray(f_magnus, float)
     v = np.asarray(velocity, float)
-    d = _transversality(np.asarray(f_magnus, float), v, np.sqrt(_dot(v, v)))
+    d = np.abs(_dot(fm, v)) / (np.sqrt(_dot(fm, fm)) * np.sqrt(_dot(v, v))
+                               + _TINY)
     return d if d.ndim else float(d)
-
-
-def _transversality(fm, v, speed):
-    """transversality_defect of float arrays, given speed = |v|."""
-    return np.abs(_dot(fm, v)) / (np.sqrt(_dot(fm, fm)) * speed + _TINY)
 
 
 @dataclass
@@ -310,13 +298,12 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
 
     The lines are checked and differentiated as one stacked array: a line
     that fails a check of DislocationLine raises the constructor's
-    ValueError, for the first such line. The force law's (c, a) pair is
-    evaluated once for all nodes, and the velocity solve, the force and the
-    transversality each take all nodes in one stacked call, so each node
-    gets the bits of per-node calls of solve_velocity, magnus_force and
-    transversality_defect. The input lines are not changed; each surviving
-    line is a copy at its moved nodes (a view of one new array unless nodes
-    were clipped), which are not checked again.
+    ValueError, for the first such line. solve_velocity, magnus_force and
+    transversality_defect then take all nodes in one stacked call each, so
+    each node gets the bits of a per-node call. The input lines are
+    not changed; each surviving line is a copy at its moved nodes (a view
+    of one new array unless nodes were clipped), which are not checked
+    again.
     """
     lines = list(lines)
     stacked = _stack_lines(lines)
@@ -331,9 +318,10 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
     tans = _tangents(nodes, closed, counts)
     burgers = line_burgers[line_of]
     thetas = disclinations.theta_at(nodes)
-    c, a = _law(thetas, burgers, params.Gamma, params.force_law, tans)
-    v = _solve(c, a, params.external_force, line_mobility[line_of])
-    fm = _magnus(c, a, v)
+    Gamma, law = params.Gamma, params.force_law
+    v = solve_velocity(params.external_force, thetas, burgers, Gamma,
+                       line_mobility[line_of], law, tans)
+    fm = magnus_force(thetas, burgers, v, Gamma, law, tans)
 
     def check_finite(finite, what):
         if not finite.all():
@@ -345,16 +333,15 @@ def step_lines(lines, disclinations: DisclinationField, params: DynamicsParams,
 
     check_finite(np.isfinite(v).all(axis=1) & np.isfinite(fm).all(axis=1),
                  "dynamics")
-    speed = np.sqrt(_dot(v, v))
     if extents is not None:
         min_span = min(hi - lo for lo, hi in extents)
-        travel = params.time_step * speed
+        travel = params.time_step * np.sqrt(_dot(v, v))
         too_far = travel > 0.1 * min_span
         if too_far.any():
             raise ValueError(
                 "time step too large: node displacement "
                 f"{travel[np.argmax(too_far)]:.3g} exceeds 0.1 * domain span")
-    transversality = _transversality(fm, v, speed)
+    transversality = transversality_defect(fm, v)
     # |F|^2 and F . v can overflow although F and v are finite
     check_finite(np.isfinite(transversality), "transversality")
     moved = nodes + params.time_step * v

@@ -405,23 +405,6 @@ def test_stacked_step_bit_equal_to_per_node_solve():
             assert _bits(line.nodes) == _bits(new)
 
 
-@pytest.mark.parametrize("law", [CROSS_PRODUCT, DERIVATION_CONSISTENT])
-def test_step_evaluates_the_force_law_once(monkeypatch, law):
-    """One step evaluates the law's (c, a) pair once for all nodes, and its
-    velocity solve, force and transversality share it."""
-    from defectgeom import dynamics
-    calls = []
-    real = dynamics._law
-    monkeypatch.setattr(dynamics, "_law",
-                        lambda *args: calls.append(1) or real(*args))
-    rng = np.random.default_rng(11)
-    disc = DisclinationField([DisclinationSource((0.1, -0.2), 0.2, 0.3)])
-    params = DynamicsParams(Gamma=1.5, time_step=0.01, steps=1, force_law=law,
-                            external_force=np.array([0.3, -0.1, 0.0]))
-    step_lines(_random_lines(rng), disc, params, EXTENTS)
-    assert len(calls) == 1
-
-
 def test_step_size_error_reports_first_node_in_line_order():
     slow = straight_line(x0=-0.5, mobility=1.0)
     fast = straight_line(x0=0.5, mobility=3.0)

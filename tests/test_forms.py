@@ -599,15 +599,16 @@ def test_sample_needs_order_3_or_5_and_finite_points(g3):
     assert f.sample(np.zeros((0, 3))).shape == (3, 3, 0)
 
 
-# The sha256 of prefilters of a 256^2 and a 64^2 x 8 array, printed by a
-# fresh interpreter so that the BLAS thread count is read at numpy's import.
+# The sha256 of prefilters of a 256^2 and a 64^2 x 8 array (dense path) and
+# of a 480 x 40 array (recursive along its long axis), printed by a fresh
+# interpreter so that the BLAS thread count is read at numpy's import.
 PREFILTER_DIGEST = """
 import hashlib
 import numpy as np
 from defectgeom import forms
 rng = np.random.default_rng(5)
 h = hashlib.sha256()
-for shape, order in (((256, 256), 5), ((64, 64, 8), 3)):
+for shape, order in (((256, 256), 5), ((64, 64, 8), 3), ((480, 40), 5)):
     h.update(forms.ndimage.spline_filter(rng.normal(size=shape), order))
 print(h.hexdigest())
 """
