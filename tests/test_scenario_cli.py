@@ -668,14 +668,17 @@ def test_cli_overflowing_charge_exit_3(tmp_path, capsys, command, report,
     assert not (out / report).exists()
 
 
+@pytest.mark.parametrize("scale", ["1", "3"])
 @pytest.mark.parametrize("name, key", [("screw", "burgers"),
                                        ("wedge", "frankAxial")])
-def test_cli_charge_of_1e305_stays_finite(tmp_path, name, key):
+def test_cli_charge_of_1e305_stays_finite(tmp_path, name, key, scale):
     """The spline's prefilter does not overflow on a 1e305 defect, whose
-    fields are finite: its charge is measured like any other."""
+    fields are finite: its charge is measured like any other, from 128^2
+    rows (dense prefilter) and from 384^2 rows (recursive prefilter)."""
     doc = json.loads((SCENARIOS / f"{name}.json").read_text())
     doc["defects"][0]["charge"] = 1e305
-    code, out = run_cli(tmp_path, "charges", write_scenario(tmp_path, doc))
+    code, out = run_cli(tmp_path, "charges", write_scenario(tmp_path, doc),
+                        "--resolution-scale", scale)
     assert code == 0
     got = json.loads((out / "charges.json").read_text())["defects"][0][key]
     want = 1e305 * (1.0 if name == "screw" else 2 * math.pi)
