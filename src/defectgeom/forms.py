@@ -161,7 +161,7 @@ def _spline_filter(row: np.ndarray, order: int) -> np.ndarray:
     coefficients that `_map_coordinates` reads: order // 2 before the
     samples and order // 2 + 1 after them on each axis.
 
-    A short axis of a small row is multiplied by its cached inverse
+    A short axis of a small array is multiplied by its cached inverse
     collocation matrix, in column blocks small enough for OpenBLAS to run on
     one thread; any other axis is filtered by `_recursive_filter`.
     """
