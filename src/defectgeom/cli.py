@@ -53,9 +53,9 @@ TRAJECTORY_BLOCK_ROWS = 512
 
 
 def _json_dump(path, obj):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    # one string and one write: json.dump makes a write call per token
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n",
+                          encoding="utf-8")
 
 
 def _prepare_out(out_dir, scenario: Scenario, args):
@@ -74,7 +74,6 @@ def _prepare_out(out_dir, scenario: Scenario, args):
         "resolutionScale": args.resolution_scale,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    _json_dump(out / "meta.json", meta)
     return out, meta
 
 
@@ -496,8 +495,12 @@ def build_parser():
 
 
 def _peak_rss_mb() -> float:
-    """Peak resident memory of this process so far, in MB."""
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    """Peak resident memory of this process so far, in MB (2^20 bytes).
+
+    `ru_maxrss` is in bytes on macOS and in KiB on Linux and the BSDs.
+    """
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)
 
 
 _parser = None  # built by the first `main` call of a process
@@ -536,7 +539,9 @@ def main(argv=None) -> int:
     except Exception as err:  # noqa: BLE001 - map to documented exit code
         print(f"runtime error: {err}", file=sys.stderr)
         code = EXIT_RUNTIME
-    # a run's cost varies between reruns, so it goes in meta.json only
+    # meta.json is written once, here, which every run that got past
+    # _prepare_out reaches; a run's cost varies between reruns, so it goes
+    # in meta.json only
     meta["wallSeconds"] = time.perf_counter() - start
     meta["peakRssMb"] = _peak_rss_mb()
     meta["peakRssMbAtStart"] = rss_at_start

@@ -384,6 +384,11 @@ class FormField:
     That is exact: those accumulators start at +0.0, so in round-to-nearest
     they never hold -0.0, x + (+-0) is x for every x other than -0.0, and a
     stored row is finite, so a product with a zero factor is +-0.
+    By the same rule a whole field of flagged rows costs nothing: `wedge`,
+    `antisym_matmul` and `covariant_exterior_derivative` with such an
+    operand return the zero field (or d a) before building a term list,
+    `exterior_derivative` of a field of only size-1 rows is the zero form,
+    and `+` and `-` of two shared +0.0 rows (`_zero_row`) store that row.
     """
 
     __slots__ = ("grid", "degree", "value_type", "_rows", "_zero",
@@ -507,11 +512,15 @@ class FormField:
 
     def __add__(self, other: "FormField") -> "FormField":
         self._check_same(other)
-        return self._like([x + y for x, y in zip(self._rows, other._rows)])
+        zero = _zero_row(self.grid.dim)
+        return self._like([zero if x is zero and y is zero else x + y
+                           for x, y in zip(self._rows, other._rows)])
 
     def __sub__(self, other: "FormField") -> "FormField":
         self._check_same(other)
-        return self._like([x - y for x, y in zip(self._rows, other._rows)])
+        zero = _zero_row(self.grid.dim)
+        return self._like([zero if x is zero and y is zero else x - y
+                           for x, y in zip(self._rows, other._rows)])
 
     def __mul__(self, scalar: float) -> "FormField":
         scalar = float(scalar)
@@ -719,6 +728,16 @@ def _scalar_wedge(grid, ka, kb, A, B, za, zb) -> list:
     return out
 
 
+def _zero_operand(*fields) -> bool:
+    """Whether one of the operands holds only flagged exact-zero rows.
+
+    Every product of a wedge sum with such an operand has a zero factor, so
+    the sum is the +0.0 field its accumulators start from, which
+    `FormField.zeros` returns without a term list.
+    """
+    return any(all(f._zero) for f in fields)
+
+
 def _frame_sum(grid, degree: int, value_type: str, terms) -> FormField:
     """Framed wedge: sum of signed scalar wedges between frame slots.
 
@@ -766,6 +785,13 @@ def wedge(a: FormField, b: FormField) -> FormField:
     k = a.degree + b.degree
     if k > grid.dim:
         raise ValueError(f"wedge degree {k} exceeds dimension {grid.dim}")
+    if _zero_operand(a, b):
+        if SCALAR in (a.value_type, b.value_type):
+            value_type = b.value_type if a.value_type == SCALAR \
+                else a.value_type
+        else:
+            value_type = SCALAR if a.value_type == b.value_type else VECTOR
+        return FormField.zeros(grid, k, value_type)
 
     if a.value_type == SCALAR or b.value_type == SCALAR:
         framed = b if a.value_type == SCALAR else a
@@ -806,6 +832,8 @@ def antisym_matmul(a: FormField, b: FormField) -> FormField:
     k = a.degree + b.degree
     if k > grid.dim:
         raise ValueError("degree overflow")
+    if _zero_operand(a, b):
+        return FormField.zeros(grid, k, ANTISYM)
     n = grid.dim
     return _frame_sum(grid, k, ANTISYM, [(p, 1, a, (fa, fc), b, (fc, fb))
                                          for p, (fa, fb) in enumerate(antisym_pairs(n))
@@ -818,13 +846,16 @@ def exterior_derivative(a: FormField) -> FormField:
     Exact for per-axis polynomial coefficients of degree <= 2 in the interior.
     Raising degree above the grid dimension is misuse and raises. A row
     stored at length 1 along the derivative axis is constant along it, so
-    its gradient is +0.0 and adds nothing; it is not differentiated.
+    its gradient is +0.0 and adds nothing; it is not differentiated, and a
+    field of only such rows has the zero derivative.
     """
     grid = a.grid
     if a.degree == grid.dim:
         raise ValueError("d of a top-degree form leaves the form algebra; "
                          "there is no degree dim+1")
     k = a.degree
+    if all(row.size == 1 for row in a._rows):
+        return FormField.zeros(grid, k + 1, a.value_type)
     in_idx = {I: i for i, I in enumerate(basis_indices(grid.dim, k))}
     h = grid.spacing
     rows = []
@@ -897,6 +928,10 @@ def covariant_exterior_derivative(a: FormField, omega: FormField) -> FormField:
     d = exterior_derivative(a)
     if a.value_type == VECTOR:
         return d + wedge(omega, a)
+    if _zero_operand(a, omega):
+        # every omega-term has a zero factor; d + 0 is d, as d's
+        # accumulators start at +0.0 and so never hold -0.0
+        return d
     n = a.grid.dim
     # the omega-term, then the a-term, for each (pair, c): this order fixes
     # the rounding of the sum

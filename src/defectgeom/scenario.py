@@ -66,7 +66,13 @@ def _integer(obj, path):
 def _vector(obj, path, length):
     if not isinstance(obj, list) or len(obj) != length:
         raise ScenarioError(f"{path}: expected a list of {length} numbers")
-    return [_number(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+    try:
+        return [_number(v, path) for v in obj]
+    except ScenarioError:
+        # name the entry; its path is built only for a bad list
+        for i, v in enumerate(obj):
+            _number(v, f"{path}[{i}]")
+        raise
 
 
 @dataclass

@@ -15,6 +15,11 @@ read +0.0 for +-0 sample rows. The references never skip: they wedge every
 full block, differentiate every full row in one stacked gradient and spline
 every row over all its axes, in a spline-kernel call of its own.
 
+An operand whose rows are all flagged exact zeros makes the wedge sums
+return the zero field before any term is built, and a field of only
+constant rows has the zero derivative; whole +0.0, -0.0 and alternating
++-0 operands are compared with the references too.
+
 Whole-field `+`, `-`, scalar `*` and `hodge_star` are compared with the
 plain numpy expressions on rows that are all +0.0, all -0.0, mixed +-0 or
 values, and each result row with the invariant slice of its full row.
@@ -284,7 +289,9 @@ def zero_products_counted():
     indexed, which must stay 0. "dropped" counts the framed terms that
     `forms._frame_sum`, called through its name in `forms`, drops whole
     because a block has only flagged rows; each such frame sum must call
-    the kernel once per term it keeps.
+    the kernel once per term it keeps. It also counts, as one, each
+    whole-field exit: an operation that `forms._zero_operand` finds an
+    operand of only flagged rows for returns before any term is built.
     """
     counts = dict.fromkeys(
         ("calls", "products", "skipped", "zero_reads", "dropped"), 0)
@@ -316,9 +323,16 @@ def zero_products_counted():
         counts["dropped"] += dropped
         return out
 
+    def counting_zero_operand(*fields):
+        exits = zero_operand(*fields)
+        counts["dropped"] += exits
+        return exits
+
     scalar_wedge, frame_sum = forms._scalar_wedge, forms._frame_sum
+    zero_operand = forms._zero_operand
     with mock.patch.object(forms, "_scalar_wedge", counting_wedge), \
-            mock.patch.object(forms, "_frame_sum", counting_frame_sum):
+            mock.patch.object(forms, "_frame_sum", counting_frame_sum), \
+            mock.patch.object(forms, "_zero_operand", counting_zero_operand):
         yield counts
 
 
@@ -404,6 +418,88 @@ def test_zero_block_skips_match_unskipped_references(dim):
                 omega = planted_field(rng, grid, 1, ANTISYM)
                 _same_bytes(covariant_exterior_derivative(a, omega),
                             ref_covariant(a, omega))
+
+
+def whole_zero_fields(grid, degree, value_type):
+    """Fields of only exact-zero rows: the shared +0.0 rows of
+    `FormField.zeros`, rows all -0.0, and rows in turn +0.0 and -0.0."""
+    shape = _coeff_shape(grid, degree, value_type)
+    alternating = np.zeros(shape)
+    alternating.reshape((-1,) + grid.resolution)[1::2] = -0.0
+    return [FormField.zeros(grid, degree, value_type),
+            FormField(grid, degree, value_type, np.full(shape, -0.0)),
+            FormField(grid, degree, value_type, alternating)]
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_whole_zero_operands_match_unskipped_references(dim):
+    """An operand of only +-0 rows makes `wedge`, `antisym_matmul` and the
+    covariant derivative return before they build a term list, and a field
+    of only constant rows has the zero derivative; the results keep the
+    bytes of the references, which compute every product."""
+    rng = np.random.default_rng(1000 + dim)
+    grid = _grid(dim)
+    types = (SCALAR, VECTOR, ANTISYM)
+    for ka, kb in _degree_pairs(dim):
+        for ta, tb in itertools.product(types, repeat=2):
+            for zero in whole_zero_fields(grid, kb, tb):
+                a = rand_field(rng, grid, ka, ta)
+                for x, y in ((a, zero), (zero, a)):
+                    if x.degree + y.degree > dim:
+                        continue
+                    with zero_products_counted() as counts:
+                        got = wedge(x, y)
+                        if ta == tb == ANTISYM:
+                            _same_bytes(antisym_matmul(x, y),
+                                        ref_antisym_matmul(x, y))
+                    assert counts["calls"] == 0 and counts["dropped"] > 0
+                    _same_bytes(got, ref_wedge(x, y))
+                    assert all(got._zero)
+    for degree in range(dim):
+        for value_type in (VECTOR, ANTISYM):
+            for zero, omega in zip(whole_zero_fields(grid, degree, value_type),
+                                   whole_zero_fields(grid, 1, ANTISYM)):
+                a = rand_field(rng, grid, degree, value_type)
+                for x, w in ((a, omega), (zero, planted_field(
+                        rng, grid, 1, ANTISYM))):
+                    with zero_products_counted() as counts:
+                        got = covariant_exterior_derivative(x, w)
+                    assert counts["calls"] == 0 and counts["dropped"] > 0
+                    _same_bytes(got, ref_covariant(x, w))
+                    assert_rows_are_invariant_slices(got)
+        for value_type in (SCALAR, VECTOR, ANTISYM):
+            constant = rng.normal(size=_coeff_shape(grid, degree, value_type)
+                                  [:-dim] + (1,) * dim)
+            for f in whole_zero_fields(grid, degree, value_type) + [
+                    FormField(grid, degree, value_type, np.broadcast_to(
+                        constant, _coeff_shape(grid, degree, value_type)))]:
+                got = exterior_derivative(f)
+                _same_bytes(got, ref_exterior_derivative(f))
+                assert all(r is forms._zero_row(dim) for r in got._rows)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_whole_zero_add_and_sub_keep_the_sign_of_zero(dim):
+    """+0.0 +- +0.0 stores the shared +0.0 row; -0.0 + -0.0 and
+    -0.0 - +0.0 stay stored rows of -0.0."""
+    grid = _grid(dim)
+    shared = forms._zero_row(dim)
+    for degree in range(dim + 1):
+        for value_type in (SCALAR, VECTOR, ANTISYM):
+            plus, minus, alternating = whole_zero_fields(grid, degree,
+                                                         value_type)
+            for x, y in itertools.product((plus, minus, alternating),
+                                          repeat=2):
+                for got, want in ((x + y, x.coeffs + y.coeffs),
+                                  (x - y, x.coeffs - y.coeffs)):
+                    assert got.coeffs.tobytes() == want.tobytes()
+                    assert_rows_are_invariant_slices(got)
+                    assert all(got._zero)
+            assert all(r is shared for r in (plus + plus)._rows)
+            assert all(r is shared for r in (plus - plus)._rows)
+            for got in (minus + minus, minus - plus):
+                assert all(r is not shared and np.signbit(r).all()
+                           for r in got._rows)
 
 
 @pytest.mark.parametrize("order", [3, 5])

@@ -465,6 +465,33 @@ def test_cli_meta_records_cost_of_failed_run(tmp_path):
     assert meta["wallSeconds"] > 0 and meta["peakRssMb"] > 0
 
 
+def test_cli_writes_meta_once_after_the_data(tmp_path, monkeypatch):
+    written = []
+    dump = cli._json_dump
+
+    def logged(path, obj):
+        written.append(Path(path).name)
+        dump(path, obj)
+
+    monkeypatch.setattr(cli, "_json_dump", logged)
+    code, _ = run_cli(tmp_path, "charges", SCENARIOS / "screw.json")
+    assert code == 0
+    assert written == ["scenario.json", "charges.json", "meta.json"]
+
+
+@pytest.mark.parametrize("platform, maxrss", [
+    ("linux", 49664), ("freebsd14", 49664), ("darwin", 50855936),
+])
+def test_peak_rss_mb_reads_maxrss_in_the_platform_unit(monkeypatch, platform,
+                                                       maxrss):
+    """`ru_maxrss` is in KiB on Linux and the BSDs and in bytes on macOS;
+    both read 48.5 MB here."""
+    usage = cli.resource.struct_rusage((0.0,) * 2 + (maxrss,) + (0,) * 13)
+    monkeypatch.setattr(cli.resource, "getrusage", lambda who: usage)
+    monkeypatch.setattr(cli.sys, "platform", platform)
+    assert cli._peak_rss_mb() == 48.5
+
+
 def test_cli_determinism_bit_identical(tmp_path):
     """Two runs of the same scenario produce bit-identical data files."""
     p = write_scenario(tmp_path, small_screw_doc())
@@ -522,6 +549,9 @@ def test_cli_fields_writes_stored_rows(tmp_path):
     ("external_force", [float("nan"), 0.0, 0.0],
      r"\$\.dynamics\.external_force\[0\]"),
     ("Gamma", float("inf"), r"\$\.dynamics\.Gamma"),
+    ("lines", [{"nodes": [[0.5, 0, -0.2], [0.5, 0, float("nan")]],
+                "burgers": [0, 0, 1]}],
+     r"\$\.dynamics\.lines\[0\]\.nodes\[1\]\[2\]: expected a finite"),
 ])
 def test_cli_non_finite_number_is_config_error(tmp_path, capsys, key, value,
                                                 path):
